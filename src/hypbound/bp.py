@@ -90,5 +90,6 @@ def bp_bounds(spec: DomainSpec, z: complex) -> BPBounds:
     denom = r.d * (KAPPA + r.L)
     lower = 1.0 / (TWO_ROOT_TWO * denom)
     upper = (KAPPA + math.pi / 4.0) / denom
-    assert lower <= upper
+    if not lower <= upper:
+        raise ArithmeticError(f"lower bound {lower} exceeds upper bound {upper} at z = {z}")
     return replace(r, lower=lower, upper=upper)

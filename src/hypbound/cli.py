@@ -1,6 +1,9 @@
 """Command line front end: validate, bounds, certify, sweep, slit-audit, oracle-check.
 
-Exit codes: 0 success, 1 property or hypothesis failure, 2 I/O or parse error.
+Exit codes: 0 success, 1 property or hypothesis failure, 2 I/O, spec or
+argument error; `main` maps each expected exception to its code through one
+table (EXIT_CODES), never to a traceback.  Write `--z=RE,IM` when RE < 0, as
+argparse reads `--z -0.3,0.1` as an option.  `sweep --jobs` has no effect.
 """
 
 from __future__ import annotations
@@ -10,9 +13,8 @@ import json
 import math
 import random
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import astuple, dataclass
 from itertools import combinations
 
 from . import bp, geometry, halving, oracles
@@ -27,6 +29,10 @@ class RejectionStarvation(RuntimeError):
 
 class BadDelta(ValueError):
     """Slit audit needs 0 < delta < 1/4 so the probe point stays interior."""
+
+
+class UsageError(ValueError):
+    """A malformed command line argument."""
 
 
 def _fmt(x: float) -> str:
@@ -78,7 +84,7 @@ def point_row(
     thm1 = halving.lower_bound(consts, z)
     cert = halving.build_certificate(spec, consts, z)
     if not halving.verify_certificate(spec, consts, cert):
-        raise RuntimeError(f"certificate failed verification at z = {z}")
+        raise halving.CertificateError(f"certificate failed verification at z = {z}")
     return SweepRow(
         z,
         abs(z),
@@ -97,58 +103,45 @@ def point_row(
 # sampling
 
 
+def sample_domain_points(
+    spec: geometry.DomainSpec, seed: int, n: int, r_min: float = 0.0
+) -> Iterator[complex]:
+    """n uniform points of G with |z| >= r_min, by rejection.
+
+    Point i draws from its own stream random.Random(seed + i), so one point
+    can be drawn alone (sample_domain_point).  Sampling stops with
+    RejectionStarvation once acceptance is below 1% after at least 100000
+    draws.
+    """
+    trials = 0
+    for i in range(n):
+        rng = random.Random(seed + i)
+        while True:
+            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            trials += 1
+            if abs(z) >= r_min and geometry.contains(spec, z) is geometry.Membership.IN_G:
+                break
+            if trials >= 100_000 and i < 0.01 * trials:
+                raise RejectionStarvation(
+                    "acceptance rate below 1% over 100000 trials; degenerate domain spec"
+                )
+        yield z
+
+
 def sample_domain_point(
     spec: geometry.DomainSpec, seed: int, index: int, r_min: float = 0.0
 ) -> complex:
-    """Uniform point of G by rejection; the stream depends only on seed + index,
-    so sweeps are reproducible under any parallel schedule."""
-    rng = random.Random(seed + index)
-    for _ in range(100_000):
-        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        if abs(z) < r_min:
-            continue
-        if geometry.contains(spec, z) is geometry.Membership.IN_G:
-            return z
-    raise RejectionStarvation("no acceptance in 100000 trials; degenerate domain spec")
+    """Point `index` of the stream that sample_domain_points draws for `seed`."""
+    return next(sample_domain_points(spec, seed + index, 1, r_min))
 
 
 def sweep_rows(
-    spec: geometry.DomainSpec,
-    consts: halving.HalvingConstants,
-    n: int,
-    seed: int,
-    jobs: int = 1,
+    spec: geometry.DomainSpec, consts: halving.HalvingConstants, n: int, seed: int
 ) -> list[SweepRow]:
+    """Rows at n sampled points; |z| stays at least 10x the resolved sequence
+    floor, so dyadic witnesses exist at every sampled scale."""
     floor = min(abs(p) for p in spec.sequence.resolved_points) if spec.sequence else 0.0
-    r_min = 10.0 * floor
-    state = {"trials": 0, "accepted": 0}
-    lock = threading.Lock()
-
-    def one(i: int) -> SweepRow:
-        rng = random.Random(seed + i)
-        local = 0
-        while True:
-            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            local += 1
-            if abs(z) >= r_min and geometry.contains(spec, z) is geometry.Membership.IN_G:
-                break
-            if local % 4096 == 0:
-                with lock:
-                    state["trials"] += local
-                    local = 0
-                    if state["trials"] >= 100_000 and state["accepted"] < 0.01 * state["trials"]:
-                        raise RejectionStarvation(
-                            "acceptance rate below 1% over 100000 trials; degenerate domain spec"
-                        )
-        with lock:
-            state["trials"] += local
-            state["accepted"] += 1
-        return point_row(spec, consts, z)
-
-    if jobs <= 1:
-        return [one(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(one, range(n)))
+    return [point_row(spec, consts, z) for z in sample_domain_points(spec, seed, n, 10.0 * floor)]
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +159,12 @@ class SlitAuditRow:
     c_ceiling_paper: float
 
     def csv(self) -> str:
-        return ",".join(
-            _fmt(v)
-            for v in (
-                self.delta,
-                self.d,
-                self.L_paper,
-                self.L_literal,
-                self.bp_upper_paper,
-                self.bp_upper_literal,
-                self.c_ceiling_paper,
-            )
-        )
+        return ",".join(_fmt(v) for v in astuple(self))
+
+
+def _c_ceiling(delta: float, L: float) -> float:
+    """Ceiling on any admissible c from the upper bound at z = 1/2: |z| * upper."""
+    return (bp.KAPPA + math.pi / 4.0) / ((1.0 - 2.0 * delta) * (bp.KAPPA + L))
 
 
 def slit_audit_row(delta: float) -> SlitAuditRow:
@@ -199,7 +186,7 @@ def slit_audit_row(delta: float) -> SlitAuditRow:
     d_paper = 0.5 - delta
     L_paper = math.log((0.5 - delta) / delta)
     upper_paper = (bp.KAPPA + math.pi / 4.0) / (d_paper * (bp.KAPPA + L_paper))
-    ceiling_paper = (bp.KAPPA + math.pi / 4.0) / ((1.0 - 2.0 * delta) * (bp.KAPPA + L_paper))
+    ceiling_paper = _c_ceiling(delta, L_paper)
     return SlitAuditRow(delta, d_paper, L_paper, r.L, upper_paper, r.upper, ceiling_paper)
 
 
@@ -207,15 +194,35 @@ def slit_audit_row(delta: float) -> SlitAuditRow:
 # shared command plumbing
 
 
-def _load_spec(path: str) -> geometry.DomainSpec:
-    return geometry.load_domain(path)
+def _float(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError as e:
+        raise UsageError(e) from e
 
 
 def _parse_z(raw: str) -> complex:
     parts = raw.split(",")
     if len(parts) != 2:
-        raise ValueError(f"expected RE,IM, got {raw!r}")
-    return complex(float(parts[0]), float(parts[1]))
+        raise UsageError(f"expected RE,IM, got {raw!r}")
+    z = complex(_float(parts[0]), _float(parts[1]))
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise UsageError(f"query point {raw!r} is not finite")
+    return z
+
+
+def _count(raw: str) -> int:
+    """argparse type of --n: a non-negative integer."""
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row.csv() + "\n")
 
 
 def _validation_warnings(spec: geometry.DomainSpec):
@@ -249,11 +256,7 @@ def _validation_warnings(spec: geometry.DomainSpec):
 
 
 def cmd_validate(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-    except (geometry.SpecError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    spec = geometry.load_domain(args.spec)
     report = halving.check_halving(spec.sequence)
     if not report.ok:
         print(f"halving check: FAIL at index {report.first_violation}: {report.reason}")
@@ -272,31 +275,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _spec_and_constants(path: str):
-    spec = _load_spec(path)
-    consts = halving.constants(spec.sequence)
-    return spec, consts
-
-
 def cmd_bounds(args) -> int:
-    try:
-        spec, consts = _spec_and_constants(args.spec)
-    except (geometry.SpecError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except halving.HypothesisViolated as e:
-        print(f"hypothesis failure: {e}", file=sys.stderr)
-        return 1
-    try:
-        z = _parse_z(args.z)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        row = point_row(spec, consts, z)
-    except (geometry.NotInDomain, halving.ZeroArgument) as e:
-        print(f"not in domain: {e}", file=sys.stderr)
-        return 1
+    spec = geometry.load_domain(args.spec)
+    consts = halving.constants(spec.sequence)
+    row = point_row(spec, consts, _parse_z(args.z))
     if args.csv:
         print(CSV_HEADER)
         print(row.csv())
@@ -314,58 +296,17 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        spec, consts = _spec_and_constants(args.spec)
-    except (geometry.SpecError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except halving.HypothesisViolated as e:
-        print(f"hypothesis failure: {e}", file=sys.stderr)
-        return 1
-    try:
-        z = _parse_z(args.z)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        cert = halving.build_certificate(spec, consts, z)
-    except (geometry.NotInDomain, halving.ZeroArgument) as e:
-        print(f"not in domain: {e}", file=sys.stderr)
-        return 1
-    except halving.TruncationExceeded as e:
-        print(f"truncation: {e}", file=sys.stderr)
-        return 1
+    spec = geometry.load_domain(args.spec)
+    consts = halving.constants(spec.sequence)
+    cert = halving.build_certificate(spec, consts, _parse_z(args.z))
     print(json.dumps(halving.certificate_to_dict(cert, consts)))
     return 0 if halving.verify_certificate(spec, consts, cert) else 1
 
 
 def cmd_sweep(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-    except (geometry.SpecError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    report = halving.check_halving(spec.sequence)
-    if not report.ok:
-        print(
-            f"hypothesis failure at index {report.first_violation}: {report.reason}",
-            file=sys.stderr,
-        )
-        return 1
-    consts = halving.constants(spec.sequence)
-    try:
-        rows = sweep_rows(spec, consts, args.n, args.seed, jobs=args.jobs)
-    except RejectionStarvation as e:
-        print(f"sampling failure: {e}", file=sys.stderr)
-        return 1
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(row.csv() + "\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    spec = geometry.load_domain(args.spec)
+    rows = sweep_rows(spec, halving.constants(spec.sequence), args.n, args.seed)
+    _write_csv(args.out, CSV_HEADER, rows)
     bad = next((row for row in rows if not row.chain_ok), None)
     if bad is not None:
         print(f"chain violation: {bad.csv()}", file=sys.stderr)
@@ -375,33 +316,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_slit_audit(args) -> int:
-    try:
-        deltas = [float(s) for s in args.deltas.split(",") if s]
-        if not deltas:
-            raise ValueError("empty delta list")
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        rows = [slit_audit_row(d) for d in deltas]
-    except BadDelta as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(SLIT_HEADER + "\n")
-            for row in rows:
-                fh.write(row.csv() + "\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    half_kpi4 = bp.KAPPA + math.pi / 4.0
+    deltas = [_float(s) for s in args.deltas.split(",") if s]
+    if not deltas:
+        raise UsageError("empty delta list")
+    rows = [slit_audit_row(d) for d in deltas]
+    _write_csv(args.out, SLIT_HEADER, rows)
     prod_paper = max(r.c_ceiling_paper * math.log(1.0 / r.delta) for r in rows)
-    prod_literal = max(
-        (half_kpi4 / ((1.0 - 2.0 * r.delta) * (bp.KAPPA + r.L_literal)))
-        * math.log(1.0 / r.delta)
-        for r in rows
-    )
+    prod_literal = max(_c_ceiling(r.delta, r.L_literal) * math.log(1.0 / r.delta) for r in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     print(f"sup over grid of c_ceiling_paper * log(1/delta)   = {_fmt(prod_paper)}")
     print(f"sup over grid of c_ceiling_literal * log(1/delta) = {_fmt(prod_literal)}")
@@ -413,18 +334,9 @@ def cmd_slit_audit(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    try:
-        kind = oracles.OracleDomain(args.kind)
-    except ValueError:
-        print(f"error: unknown oracle kind {args.kind!r}", file=sys.stderr)
-        return 2
+    kind = oracles.OracleDomain(args.kind)
     spec = oracles.oracle_fixture(kind)
-    for i in range(args.n):
-        try:
-            z = sample_domain_point(spec, args.seed, i)
-        except RejectionStarvation as e:
-            print(f"sampling failure: {e}", file=sys.stderr)
-            return 1
+    for z in sample_domain_points(spec, args.seed, args.n):
         bounds = bp.bp_bounds(spec, z)
         lam = oracles.oracle_density(kind, z)
         if not bounds.lower <= lam <= bounds.upper:
@@ -455,21 +367,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="two-sided bounds at one point")
     p.add_argument("spec")
-    p.add_argument("--z", required=True, help="query point as RE,IM")
+    p.add_argument("--z", required=True, help="query point as RE,IM; a negative RE needs --z=RE,IM")
     p.add_argument("--csv", action="store_true", help="emit a CSV row instead of text")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("certify", help="build and verify a certificate at one point")
     p.add_argument("spec")
-    p.add_argument("--z", required=True, help="query point as RE,IM")
+    p.add_argument("--z", required=True, help="query point as RE,IM; a negative RE needs --z=RE,IM")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sweep", help="random audit sweep to CSV")
     p.add_argument("spec")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads; output is identical for any value")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("slit-audit", help="radial-slit domain audit at z = 1/2")
@@ -479,16 +391,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="closed-form density against the two-sided bounds")
     p.add_argument("--kind", required=True, choices=[k.value for k in oracles.OracleDomain])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser
 
 
+# exception types -> (stderr prefix, exit code); the first matching entry wins
+EXIT_CODES = (
+    ((geometry.NotInDomain, halving.ZeroArgument), "not in domain", 1),
+    ((halving.HypothesisViolated,), "hypothesis failure", 1),
+    ((halving.TruncationExceeded,), "truncation", 1),
+    ((RejectionStarvation,), "sampling failure", 1),
+    ((halving.CertificateError,), "certificate failure", 1),
+    ((geometry.SpecError, OSError, BadDelta, UsageError), "error", 2),
+)
+_MAPPED = tuple(t for types, _, _ in EXIT_CODES for t in types)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _MAPPED as e:
+        prefix, code = next((p, c) for types, p, c in EXIT_CODES if isinstance(e, types))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

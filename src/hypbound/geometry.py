@@ -77,8 +77,7 @@ class UnitCircle:
     def set_distance(self, z: complex) -> float:
         return abs(1.0 - abs(z))
 
-    def boundary_distance(self, z: complex) -> float:
-        return abs(1.0 - abs(z))
+    boundary_distance = set_distance
 
     def nearest_point(self, z: complex) -> complex:
         if z == 0:
@@ -108,8 +107,7 @@ class SinglePoint:
     def set_distance(self, z: complex) -> float:
         return abs(z - self.p)
 
-    def boundary_distance(self, z: complex) -> float:
-        return abs(z - self.p)
+    boundary_distance = set_distance
 
     def nearest_point(self, z: complex) -> complex:
         return self.p
@@ -146,8 +144,7 @@ class Segment:
     def set_distance(self, z: complex) -> float:
         return abs(z - self.nearest_point(z))
 
-    def boundary_distance(self, z: complex) -> float:
-        return self.set_distance(z)
+    boundary_distance = set_distance
 
     def distance_interval(self, a: complex) -> tuple[float, float]:
         # distance along a connected set sweeps an interval; the max over a
@@ -348,10 +345,11 @@ def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
     witnesses = []
     for dist, i, w in realized:
         if dist <= cutoff:
-            assert spec.primitives[i].boundary_distance(w) <= GEOM_TOL
+            if spec.primitives[i].boundary_distance(w) > GEOM_TOL:
+                raise RuntimeError(f"witness {w} of primitive {i} is off the boundary")
             witnesses.append((i, w))
-    if spec.origin_registered:
-        assert d <= abs(z)
+    if spec.origin_registered and d > abs(z):
+        raise RuntimeError(f"boundary distance {d} exceeds |z| = {abs(z)} with 0 on the boundary")
     return NearestBoundary(d, tuple(witnesses))
 
 

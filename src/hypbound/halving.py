@@ -59,6 +59,10 @@ class ZeroArgument(ValueError):
     """The bound c/|z| is undefined at z = 0 (a boundary point)."""
 
 
+class CertificateError(RuntimeError):
+    """A built certificate breaks its own inequalities or fails verification."""
+
+
 def certificate_tolerance() -> float:
     """Slack for certificate inequality checks.
 
@@ -120,14 +124,15 @@ class HalvingConstants:
 def constants(seq: SequenceSpec) -> HalvingConstants:
     report = check_halving(seq)
     if not report.ok:
-        raise HypothesisViolated(report.reason or "halving hypothesis fails")
+        raise HypothesisViolated(f"at index {report.first_violation}: {report.reason}")
     delta = max(abs(p) for p in seq.resolved_points)
     branch_log4delta = 1.0 / (TWO_ROOT_TWO * (KAPPA + math.log(4.0 / delta)))
     branch_5log2 = 1.0 / (TWO_ROOT_TWO * (KAPPA + 5.0 * math.log(2.0)))
     c = min(branch_log4delta, branch_5log2)
     c_circle = 1.0 / (TWO_ROOT_TWO * KAPPA)
     c_deep_cap = TWO_ROOT_TWO / (KAPPA + 2.0 * math.log(6.0))
-    assert c <= c_circle and c <= c_deep_cap
+    if not (c <= c_circle and c <= c_deep_cap):
+        raise RuntimeError(f"c = {c} exceeds the circle or deep-case ceiling")
     return HalvingConstants(delta, c, branch_log4delta, branch_5log2, c_circle, c_deep_cap)
 
 
@@ -292,10 +297,11 @@ def build_certificate(spec: DomainSpec, consts: HalvingConstants, z: complex) ->
     log_ratio = abs(math.log(gap / abs(zeta - b)))
     cap = _case_cap(tag, z, zeta, delta)
     implied = 1.0 / (TWO_ROOT_TWO * gap * (KAPPA + log_ratio))
-    cert = Certificate(tag, z, zeta, b, log_ratio, cap, implied)
-    assert log_ratio <= cap + certificate_tolerance()
-    assert implied >= consts.c / abs(z) - 1e-12
-    return cert
+    if not log_ratio <= cap + certificate_tolerance():
+        raise CertificateError(f"log ratio {log_ratio} exceeds cap {cap} ({tag.value}) at z = {z}")
+    if not implied >= consts.c / abs(z) - 1e-12:
+        raise CertificateError(f"implied bound {implied} falls below c/|z| at z = {z}")
+    return Certificate(tag, z, zeta, b, log_ratio, cap, implied)
 
 
 def verify_certificate(spec: DomainSpec, consts: HalvingConstants, cert: Certificate) -> bool:

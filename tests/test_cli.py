@@ -9,13 +9,16 @@ import sys
 
 import pytest
 
-from hypbound import bp, constants, load_domain, lower_bound
+from hypbound import DomainSpec, bp, constants, halving, load_domain, lower_bound
 from hypbound.cli import (
     CSV_HEADER,
+    EXIT_CODES,
     SLIT_HEADER,
     BadDelta,
+    RejectionStarvation,
     main,
     sample_domain_point,
+    sample_domain_points,
     slit_audit_row,
 )
 
@@ -294,6 +297,96 @@ class TestOracleCheck:
         with pytest.raises(SystemExit) as exc:
             main(["oracle-check", "--kind", "annulus", "--n", "5"])
         assert exc.value.code == 2
+
+
+def _broken_cap(monkeypatch):
+    monkeypatch.setattr(halving, "_case_cap", lambda *args: -1.0)
+
+
+def _failed_verification(monkeypatch):
+    monkeypatch.setattr(halving, "verify_certificate", lambda *args: False)
+
+
+HYP_SPEC = {"primitives": [], "sequence": {"type": "explicit", "points": [[0.5, 0], [0.2, 0]]}}
+STARVED_SPEC = {"primitives": [], "sequence": {"type": "explicit", "points": [[0.0999999, 0]]}}
+
+# name -> (spec JSON, written and passed after the command, or None; argv,
+# where {tmp} is the test directory; monkeypatch hook; exit code; stderr prefix)
+EXIT_CASES = {
+    "not-in-domain": (battery_json(0.5, 0.5), ["bounds", "--z=0,0"], None, 1, "not in domain: "),
+    "hypothesis": (HYP_SPEC, ["certify", "--z=0,0.3"], None, 1, "hypothesis failure: at index 0: "),
+    "truncation": (battery_json(0.5, 0.5, count=4), ["bounds", "--z=0.001,0.0005"], None, 1, "truncation: "),
+    "starvation": (STARVED_SPEC, ["sweep", "--n", "4", "--out", "{tmp}/x.csv"], None, 1, "sampling failure: "),
+    "certificate-build": (
+        battery_json(0.5, 0.5), ["certify", "--z=0,0.3"], _broken_cap, 1, "certificate failure: "
+    ),
+    "certificate-verify": (
+        battery_json(0.5, 0.5), ["bounds", "--z=0,0.3"], _failed_verification, 1, "certificate failure: "
+    ),
+    "spec": ({"primitives": [], "sequence": {}}, ["validate"], None, 2, "error: "),
+    "missing-file": (None, ["validate", "{tmp}/nope.json"], None, 2, "error: "),
+    "bad-delta": (None, ["slit-audit", "--deltas", "0.3", "--out", "{tmp}/x.csv"], None, 2, "error: "),
+    "z-nan": (battery_json(0.5, 0.5), ["bounds", "--z=nan,0"], None, 2, "error: "),
+    "z-inf": (battery_json(0.5, 0.5), ["certify", "--z=0,-inf"], None, 2, "error: "),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("name", list(EXIT_CASES))
+    def test_table_row(self, name, tmp_path, capsys, monkeypatch):
+        obj, argv, patch, code, prefix = EXIT_CASES[name]
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        if obj is not None:
+            argv.insert(1, write_spec(tmp_path, obj))
+        if patch is not None:
+            patch(monkeypatch)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert err.count("\n") == 1
+
+    def test_cases_cover_the_table(self):
+        prefixes = {prefix for _, _, _, _, prefix in EXIT_CASES.values()}
+        for _, prefix, code in EXIT_CODES:
+            assert any(p.startswith(prefix + ":") for p in prefixes), prefix
+        assert {code for _, _, code in EXIT_CODES} == {1, 2}
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "{spec}", "--n", "-3", "--out", "{tmp}/x.csv"],
+        ["oracle-check", "--kind", "punctured", "--n", "-3"],
+        ["oracle-check", "--kind", "punctured", "--n", "three"],
+    ])
+    def test_negative_count_rejected(self, argv, tmp_path, capsys):
+        spec = write_spec(tmp_path, battery_json(0.5, 0.5))
+        argv = [a.replace("{spec}", spec).replace("{tmp}", str(tmp_path)) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestStarvationRule:
+    # acceptance is the area share pi (1 - r^2) / 4 of the sampling square
+    # outside the guard radius r; the sampler stops only once acceptance is
+    # below 1% after at least 100000 draws
+    @staticmethod
+    def guard(share):
+        return math.sqrt(1.0 - 4.0 * share / math.pi)
+
+    def test_stops_below_one_percent(self):
+        spec = DomainSpec.bare(include_origin=True)
+        got = []
+        with pytest.raises(RejectionStarvation):
+            for z in sample_domain_points(spec, 1, 3000, self.guard(0.005)):
+                got.append(z)
+        # the first check after 100000 draws fires, with about 500 accepted
+        assert 300 <= len(got) <= 700
+
+    def test_runs_past_the_threshold_above_one_percent(self):
+        spec = DomainSpec.bare(include_origin=True)
+        pts = list(sample_domain_points(spec, 1, 2500, self.guard(0.02)))
+        assert len(pts) == 2500
 
 
 class TestEntryPoint:

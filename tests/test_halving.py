@@ -4,10 +4,15 @@ dyadic annulus witnesses, and the per-point certificate machinery."""
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypbound
 from hypbound import (
     CaseTag,
     DomainSpec,
@@ -425,3 +430,26 @@ class TestCertificateProperties:
                 cert = build_certificate(spec, consts, z)
                 assert cert.log_ratio <= cert.case_log_cap + 1e-9
                 assert verify_certificate(spec, consts, cert)
+
+
+class TestInvariantsUnderOptimize:
+    def test_broken_cap_raises_certificate_error(self):
+        # under -O every assert is stripped; build_certificate's own inequality
+        # checks must still fire when the case cap is broken
+        code = (
+            "import hypbound.halving as h\n"
+            "from hypbound import DomainSpec, SequenceSpec, constants\n"
+            "spec = DomainSpec.build([], SequenceSpec.geometric(0.5, 0.5, 60))\n"
+            "h._case_cap = lambda *args: -1.0\n"
+            "try:\n"
+            "    h.build_certificate(spec, constants(spec.sequence), 0.3j)\n"
+            "except h.CertificateError:\n"
+            "    print(__debug__, 'CertificateError')\n"
+        )
+        src = str(Path(hypbound.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False CertificateError"
