@@ -52,7 +52,6 @@ class SweepRow:
     bp_lower: float
     bp_upper: float
     thm1_bound: float
-    oracle: float | None
     case_tag: halving.CaseTag | None
     chain_ok: bool
 
@@ -67,19 +66,14 @@ class SweepRow:
                 _fmt(self.bp_lower),
                 _fmt(self.bp_upper),
                 _fmt(self.thm1_bound),
-                "" if self.oracle is None else _fmt(self.oracle),
+                "",  # oracle: no sweep row has a closed form; kept for the schema
                 "" if self.case_tag is None else self.case_tag.value,
                 "true" if self.chain_ok else "false",
             ]
         )
 
 
-def point_row(
-    spec: geometry.DomainSpec,
-    consts: halving.HalvingConstants,
-    z: complex,
-    oracle: float | None = None,
-) -> SweepRow:
+def point_row(spec: geometry.DomainSpec, consts: halving.HalvingConstants, z: complex) -> SweepRow:
     bounds = bp.bp_bounds(spec, z)
     thm1 = halving.lower_bound(consts, z)
     cert = halving.build_certificate(spec, consts, z)
@@ -93,7 +87,6 @@ def point_row(
         bounds.lower,
         bounds.upper,
         thm1,
-        oracle,
         cert.case_tag,
         bounds.lower >= thm1,
     )
@@ -257,11 +250,11 @@ def _validation_warnings(spec: geometry.DomainSpec):
 
 def cmd_validate(args) -> int:
     spec = geometry.load_domain(args.spec)
-    report = halving.check_halving(spec.sequence)
-    if not report.ok:
-        print(f"halving check: FAIL at index {report.first_violation}: {report.reason}")
+    try:
+        consts = halving.constants(spec.sequence)
+    except halving.HypothesisViolated as e:
+        print(f"halving check: FAIL {e}")
         return 1
-    consts = halving.constants(spec.sequence)
     print("halving check: ok")
     print(f"points resolved = {len(spec.sequence.resolved_points)}")
     print(f"delta = {_fmt(consts.delta)}")
@@ -405,7 +398,7 @@ EXIT_CODES = (
     ((halving.TruncationExceeded,), "truncation", 1),
     ((RejectionStarvation,), "sampling failure", 1),
     ((halving.CertificateError,), "certificate failure", 1),
-    ((geometry.SpecError, OSError, BadDelta, UsageError), "error", 2),
+    ((geometry.SpecError, OSError, BadDelta, UsageError, halving.ToleranceError), "error", 2),
 )
 _MAPPED = tuple(t for types, _, _ in EXIT_CODES for t in types)
 

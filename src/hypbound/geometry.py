@@ -17,10 +17,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
 
 GEOM_TOL = 1e-12   # on-boundary / witness tolerance
 TIE_REL = 1e-9     # relative tolerance grouping tied nearest witnesses
@@ -206,9 +206,6 @@ class SequenceSpec:
     """Obstacle point sequence a_0, a_1, ... heading toward the origin."""
 
     resolved_points: tuple[complex, ...]
-    mode: str
-    delta_param: float | None = None
-    ratio: float | None = None
 
     @classmethod
     def geometric(cls, delta: float, ratio: float, count: int) -> "SequenceSpec":
@@ -220,7 +217,7 @@ class SequenceSpec:
         if not (0.0 < ratio < 1.0):
             raise SpecError("ratio must lie in (0, 1)")
         pts = tuple(complex(delta * ratio**n, 0.0) for n in range(count))
-        return cls(pts, "geometric", delta, ratio)
+        return cls(pts)
 
     @classmethod
     def explicit(cls, points: Iterable[complex]) -> "SequenceSpec":
@@ -232,7 +229,7 @@ class SequenceSpec:
                 raise SpecError(f"sequence point {i} has non-finite coordinates")
             if abs(p) >= 1.0:
                 raise SpecError(f"sequence point {i} is not inside the unit disk")
-        return cls(pts, "explicit")
+        return cls(pts)
 
     def magnitudes(self) -> tuple[float, ...]:
         return tuple(abs(p) for p in self.resolved_points)
@@ -371,9 +368,12 @@ class DistanceSet:
 
 
 def distance_set(spec: DomainSpec, a: complex) -> DistanceSet:
-    if boundary_gap(spec, a) > GEOM_TOL:
+    intervals = tuple(prim.distance_interval(a) for prim in spec.primitives)
+    # each lo is the same expression as that primitive's boundary_distance(a),
+    # so the smallest lo is boundary_gap(spec, a) bit for bit
+    if min(lo for lo, _ in intervals) > GEOM_TOL:
         raise NotOnBoundary(f"point {a} is not on the boundary of G")
-    return DistanceSet(a, tuple(prim.distance_interval(a) for prim in spec.primitives))
+    return DistanceSet(a, intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -598,38 +598,19 @@ def first_boundary_hit(spec: DomainSpec, path: ArcRadialPath, start: complex) ->
 # clearance between fat primitives (connectivity heuristics)
 
 
-def _segments_intersect(p1: complex, q1: complex, p2: complex, q2: complex) -> bool:
-    def orient(a, b, c):
-        v = _cross(b - a, c - a)
-        return 0 if v == 0 else (1 if v > 0 else -1)
-
-    def on_segment(a, b, c):
-        return (
-            min(a.real, b.real) <= c.real <= max(a.real, b.real)
-            and min(a.imag, b.imag) <= c.imag <= max(a.imag, b.imag)
-        )
-
-    d1 = orient(p2, q2, p1)
-    d2 = orient(p2, q2, q1)
-    d3 = orient(p1, q1, p2)
-    d4 = orient(p1, q1, q2)
-    if d1 != d2 and d3 != d4:
-        return True
-    if d1 == 0 and on_segment(p2, q2, p1):
-        return True
-    if d2 == 0 and on_segment(p2, q2, q1):
-        return True
-    if d3 == 0 and on_segment(p1, q1, p2):
-        return True
-    if d4 == 0 and on_segment(p1, q1, q2):
-        return True
-    return False
+def _segments_cross(p1: complex, q1: complex, p2: complex, q2: complex) -> bool:
+    """True when each segment has its endpoints strictly on opposite sides of the other's line."""
+    s1 = (_cross(q2 - p2, p1 - p2), _cross(q2 - p2, q1 - p2))
+    s2 = (_cross(q1 - p1, p2 - p1), _cross(q1 - p1, q2 - p1))
+    return min(s1) < 0.0 < max(s1) and min(s2) < 0.0 < max(s2)
 
 
 def primitive_clearance(a: Primitive, b: Primitive) -> float:
     """Set distance between two fat (segment or disk) obstacles."""
     if isinstance(a, Segment) and isinstance(b, Segment):
-        if _segments_intersect(a.p, a.q, b.p, b.q):
+        # a touch or a collinear overlap puts an endpoint within rounding of
+        # the other segment, so only a proper crossing needs its own test
+        if _segments_cross(a.p, a.q, b.p, b.q):
             return 0.0
         return min(
             a.set_distance(b.p),

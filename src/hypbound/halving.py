@@ -32,13 +32,10 @@ from .geometry import (
     HIT_TOL,
     TIE_REL,
     DomainSpec,
-    Membership,
-    NotInDomain,
     SequenceSpec,
     UnitCircle,
     arc_then_radial,
     boundary_gap,
-    contains,
     first_boundary_hit,
     nearest_boundary,
     radial_path,
@@ -63,6 +60,10 @@ class CertificateError(RuntimeError):
     """A built certificate breaks its own inequalities or fails verification."""
 
 
+class ToleranceError(ValueError):
+    """HYPBOUND_TOL is set but is not a positive finite number."""
+
+
 def certificate_tolerance() -> float:
     """Slack for certificate inequality checks.
 
@@ -74,9 +75,9 @@ def certificate_tolerance() -> float:
     try:
         tol = float(raw)
     except ValueError as e:
-        raise ValueError(f"HYPBOUND_TOL must be a number, got {raw!r}") from e
+        raise ToleranceError(f"HYPBOUND_TOL must be a number, got {raw!r}") from e
     if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError("HYPBOUND_TOL must be a positive finite number")
+        raise ToleranceError("HYPBOUND_TOL must be a positive finite number")
     return tol
 
 
@@ -84,31 +85,26 @@ def certificate_tolerance() -> float:
 # hypothesis checks and constants
 
 
-@dataclass(frozen=True)
-class HalvingReport:
-    ok: bool
-    first_violation: int | None = None
-    reason: str | None = None
+def check_halving(seq: SequenceSpec) -> None:
+    """Gate for the halving hypothesis on the resolved points.
 
-
-def check_halving(seq: SequenceSpec) -> HalvingReport:
-    """Gate for the halving hypothesis on the resolved points."""
+    Raises HypothesisViolated("at index i: reason") at the first violation.
+    """
     pts = seq.resolved_points
     for i, p in enumerate(pts):
         if p == 0:
-            return HalvingReport(False, i, f"point {i} is zero")
+            raise HypothesisViolated(f"at index {i}: point {i} is zero")
     mags = [abs(p) for p in pts]
     for i in range(len(pts) - 1):
         if mags[i + 1] < 0.5 * mags[i]:
-            return HalvingReport(False, i, f"|a_{i + 1}| = {mags[i + 1]} drops below |a_{i}|/2")
+            raise HypothesisViolated(f"at index {i}: |a_{i + 1}| = {mags[i + 1]} drops below |a_{i}|/2")
     seen: dict[complex, int] = {}
     for i, p in enumerate(pts):
         if p in seen:
-            return HalvingReport(False, i, f"point {i} duplicates point {seen[p]}")
+            raise HypothesisViolated(f"at index {i}: point {i} duplicates point {seen[p]}")
         seen[p] = i
     if len(pts) > 1 and mags[-1] >= mags[0]:
-        return HalvingReport(False, len(pts) - 1, "magnitudes do not decrease overall")
-    return HalvingReport(True)
+        raise HypothesisViolated(f"at index {len(pts) - 1}: magnitudes do not decrease overall")
 
 
 @dataclass(frozen=True)
@@ -122,9 +118,7 @@ class HalvingConstants:
 
 
 def constants(seq: SequenceSpec) -> HalvingConstants:
-    report = check_halving(seq)
-    if not report.ok:
-        raise HypothesisViolated(f"at index {report.first_violation}: {report.reason}")
+    check_halving(seq)
     delta = max(abs(p) for p in seq.resolved_points)
     branch_log4delta = 1.0 / (TWO_ROOT_TWO * (KAPPA + math.log(4.0 / delta)))
     branch_5log2 = 1.0 / (TWO_ROOT_TWO * (KAPPA + 5.0 * math.log(2.0)))
@@ -218,7 +212,8 @@ def _interior_circle_point(spec: DomainSpec, radius: float) -> complex:
         gap = min(prim.set_distance(w) for prim in spec.obstacles)
         if gap > best_gap:
             best_gap, best_w = gap, w
-    if contains(spec, best_w) is not Membership.IN_G:
+    # the ring lies inside D, so best_w is in G exactly when it clears every obstacle
+    if best_gap <= 0.0:
         raise RuntimeError(
             f"no interior point found on the circle of radius {radius}; domain too degenerate"
         )
@@ -315,7 +310,7 @@ def verify_certificate(spec: DomainSpec, consts: HalvingConstants, cert: Certifi
     z, zeta, b = cert.z, cert.zeta, cert.b
     try:
         nb = nearest_boundary(spec, z)
-    except (NotInDomain, ValueError):
+    except ValueError:
         return False
     gap = abs(z - zeta)
     if gap <= 0.0 or b == zeta:

@@ -88,6 +88,23 @@ class TestValidate:
         assert main(["validate", path]) == 0
         assert "nearly touch" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("segments", [
+        # T-junction, collinear overlap
+        [[0.1, 0.1, 0.5, 0.3], [0.22, 0.16, 0.12, 0.36]],
+        [[0.1, 0.1, 0.3, 0.2], [0.2, 0.15, 0.4, 0.25]],
+    ])
+    def test_touching_segments_warning(self, segments, tmp_path, capsys):
+        obj = {
+            "primitives": [
+                {"type": "segment", "x1": x1, "y1": y1, "x2": x2, "y2": y2}
+                for x1, y1, x2, y2 in segments
+            ],
+            "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 60},
+        }
+        path = write_spec(tmp_path, obj)
+        assert main(["validate", path]) == 0
+        assert "primitives 0 and 1 nearly touch" in capsys.readouterr().out
+
     def test_origin_inside_disk_warning(self, tmp_path, capsys):
         obj = {
             "primitives": [{"type": "disk", "cx": 0.05, "cy": 0.0, "r": 0.2}],
@@ -307,6 +324,10 @@ def _failed_verification(monkeypatch):
     monkeypatch.setattr(halving, "verify_certificate", lambda *args: False)
 
 
+def _bad_tolerance(monkeypatch):
+    monkeypatch.setenv("HYPBOUND_TOL", "abc")
+
+
 HYP_SPEC = {"primitives": [], "sequence": {"type": "explicit", "points": [[0.5, 0], [0.2, 0]]}}
 STARVED_SPEC = {"primitives": [], "sequence": {"type": "explicit", "points": [[0.0999999, 0]]}}
 
@@ -328,6 +349,7 @@ EXIT_CASES = {
     "bad-delta": (None, ["slit-audit", "--deltas", "0.3", "--out", "{tmp}/x.csv"], None, 2, "error: "),
     "z-nan": (battery_json(0.5, 0.5), ["bounds", "--z=nan,0"], None, 2, "error: "),
     "z-inf": (battery_json(0.5, 0.5), ["certify", "--z=0,-inf"], None, 2, "error: "),
+    "tolerance": (battery_json(0.5, 0.5), ["certify", "--z=0,0.3"], _bad_tolerance, 2, "error: "),
 }
 
 

@@ -33,7 +33,7 @@ from hypbound import (
     radial_path,
     rotate_domain,
 )
-from hypbound.geometry import max_modulus, primitive_clearance
+from hypbound.geometry import GEOM_TOL, max_modulus, primitive_clearance
 
 from conftest import (
     battery_domain,
@@ -253,6 +253,27 @@ class TestDistanceSet:
         with pytest.raises(NotOnBoundary):
             distance_set(spec, 0.5 + 0j)
 
+    # (boundary point of mixed_domain(), unit direction off the boundary)
+    OFF_BOUNDARY_BASES = {
+        "point": (0.25 + 0j, 1j),
+        "segment-interior": (0.4 + 0.25j, (1 + 2j) / abs(1 + 2j)),
+        "segment-endpoint": (0.5 + 0.2j, (2 - 1j) / abs(2 - 1j)),
+        "disk-circle": (complex(-0.4, 0.1) + cmath.rect(0.12, 2.0), cmath.rect(1.0, 2.0)),
+        "unit-circle": (cmath.rect(1.0, -2.5), -cmath.rect(1.0, -2.5)),
+    }
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5e-12, 2e-12, 1e-3])
+    @pytest.mark.parametrize("where", list(OFF_BOUNDARY_BASES))
+    def test_rejects_exactly_off_boundary(self, where, offset):
+        spec = mixed_domain()
+        base, direction = self.OFF_BOUNDARY_BASES[where]
+        a = base + offset * direction
+        if boundary_gap(spec, a) > GEOM_TOL:
+            with pytest.raises(NotOnBoundary):
+                distance_set(spec, a)
+        else:
+            assert distance_set(spec, a).base == a
+
     def test_brute_force_conformance(self):
         # each interval must bracket the sampled min/max up to the sampling
         # gap; 40k nodes per curve keep even a V-shaped minimum at a base
@@ -402,6 +423,18 @@ class TestClearances:
         assert abs(primitive_clearance(a, b) - 0.4) < 1e-15
         c = ObstacleDisk(complex(-0.25, 0), 0.1)
         assert primitive_clearance(c, ObstacleDisk(complex(-0.15, 0), 0.1)) == 0.0
+
+    @pytest.mark.parametrize("a, b", [
+        # T-junction on the interior of an oblique segment
+        (Segment(0.1 + 0.1j, 0.5 + 0.3j), Segment(0.22 + 0.16j, 0.12 + 0.36j)),
+        # two segments meeting at a shared endpoint
+        (Segment(0.1 + 0.1j, 0.4 + 0.2j), Segment(0.4 + 0.2j, 0.3 + 0.5j)),
+        # collinear overlap
+        (Segment(0.1 + 0.1j, 0.3 + 0.2j), Segment(0.2 + 0.15j, 0.4 + 0.25j)),
+    ])
+    def test_touching_segments(self, a, b):
+        assert primitive_clearance(a, b) < 1e-12
+        assert primitive_clearance(b, a) < 1e-12
 
     def test_points_unsupported(self):
         with pytest.raises(TypeError):

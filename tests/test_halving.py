@@ -48,38 +48,33 @@ def seq_explicit(*values):
 
 class TestCheckHalving:
     def test_exact_halving_ok(self):
-        assert check_halving(seq_geometric(0.5, 0.5, 10)).ok
+        check_halving(seq_geometric(0.5, 0.5, 10))
 
     def test_slow_decay_ok(self):
-        assert check_halving(seq_geometric(0.5, 0.6, 60)).ok
+        check_halving(seq_geometric(0.5, 0.6, 60))
 
     def test_drop_below_half(self):
-        report = check_halving(seq_explicit(0.5, 0.2))
-        assert not report.ok
-        assert report.first_violation == 0
+        with pytest.raises(HypothesisViolated, match=r"^at index 0:"):
+            check_halving(seq_explicit(0.5, 0.2))
 
     def test_fast_geometric_fails(self):
-        report = check_halving(seq_geometric(0.5, 0.4, 5))
-        assert not report.ok
-        assert report.first_violation == 0
+        with pytest.raises(HypothesisViolated, match=r"^at index 0:"):
+            check_halving(seq_geometric(0.5, 0.4, 5))
 
     def test_zero_point(self):
-        report = check_halving(seq_explicit(0.3, 0.0))
-        assert not report.ok
-        assert report.first_violation == 1
+        with pytest.raises(HypothesisViolated, match=r"^at index 1:"):
+            check_halving(seq_explicit(0.3, 0.0))
 
     def test_duplicate_point(self):
-        report = check_halving(seq_explicit(0.3, 0.3))
-        assert not report.ok
-        assert report.first_violation == 1
+        with pytest.raises(HypothesisViolated, match=r"^at index 1:"):
+            check_halving(seq_explicit(0.3, 0.3))
 
     def test_no_overall_decrease(self):
-        report = check_halving(seq_explicit(0.3, 0.4))
-        assert not report.ok
-        assert report.first_violation == 1
+        with pytest.raises(HypothesisViolated, match=r"^at index 1:"):
+            check_halving(seq_explicit(0.3, 0.4))
 
     def test_single_point_ok(self):
-        assert check_halving(seq_explicit(0.3)).ok
+        check_halving(seq_explicit(0.3))
 
 
 class TestConstants:

@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Byte-for-byte CLI parity between a git ref and the working tree.
+
+    python3 tools/parity.py REF
+
+Exports `src` at REF with `git archive`, runs a fixed list of
+`python -m hypbound` invocations against that tree and against the working
+tree's `src`, and compares exit codes, stdout, stderr and every file an
+invocation writes.  Each invocation runs in its own empty directory and
+writes its output under a relative name, so the output path reads the same
+on both sides.  Prints one line per difference and exits 0 only when there
+is none; exit 2 means REF could not be exported.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "bench" / "specs"
+
+# fixture specs written next to the runs: name -> JSON object
+FIXTURES = {
+    "violating.json": {
+        "primitives": [],
+        "sequence": {"type": "explicit", "points": [[0.5, 0.0], [0.2, 0.0]]},
+    },
+    "touching.json": {
+        "primitives": [
+            # T-junction on the interior of an oblique segment
+            {"type": "segment", "x1": 0.1, "y1": 0.1, "x2": 0.5, "y2": 0.3},
+            {"type": "segment", "x1": 0.22, "y1": 0.16, "x2": 0.12, "y2": 0.36},
+            # collinear overlap
+            {"type": "segment", "x1": -0.1, "y1": -0.1, "x2": -0.3, "y2": -0.2},
+            {"type": "segment", "x1": -0.2, "y1": -0.15, "x2": -0.4, "y2": -0.25},
+        ],
+        "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 60},
+    },
+}
+
+
+def invocations(fixtures: Path) -> list[list[str]]:
+    demo, spiral, dense = (str(SPECS / name) for name in ("demo.json", "spiral.json", "dense.json"))
+    return [
+        *(["sweep", demo, "--n", "400", "--seed", seed, "--out", "out.csv"] for seed in ("1", "7", "42")),
+        ["sweep", spiral, "--n", "300", "--seed", "3", "--out", "out.csv"],
+        ["sweep", dense, "--n", "15", "--seed", "2", "--out", "out.csv"],
+        ["bounds", demo, "--z=0.35,0.1"],
+        ["bounds", demo, "--z=0.35,0.1", "--csv"],
+        ["certify", demo, "--z=0.35,0.1"],
+        ["certify", spiral, "--z=0.001,0.0005"],
+        ["certify", spiral, "--z=-0.02,0.013"],
+        # within about 1e-8 of the unit circle: exit 1, certificate failure
+        ["certify", demo, "--z=0.94723317263975,-0.32054529899594186"],
+        ["slit-audit", "--deltas", "0.2,0.1,0.01,0.001", "--out", "out.csv"],
+        ["validate", demo],
+        ["validate", spiral],
+        ["validate", str(fixtures / "violating.json")],
+        ["validate", str(fixtures / "touching.json")],
+        ["oracle-check", "--kind", "disk", "--n", "200", "--seed", "1"],
+        ["oracle-check", "--kind", "punctured", "--n", "200", "--seed", "1"],
+    ]
+
+
+def export_src(ref: str, dest: Path) -> None:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
+        capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+
+
+def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, bytes, bytes, dict[str, bytes]]:
+    """Exit code, stdout, stderr and the files written in cwd."""
+    cwd.mkdir(parents=True)
+    env = {k: v for k, v in os.environ.items() if k != "HYPBOUND_TOL"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypbound", *argv], cwd=cwd, env=env, capture_output=True
+    )
+    files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def first_difference(x: bytes | None, y: bytes | None) -> str:
+    if x is None or y is None:
+        return "missing on one side"
+    xs, ys = x.splitlines(keepends=True), y.splitlines(keepends=True)
+    n = next((i for i, (p, q) in enumerate(zip(xs, ys)) if p != q), min(len(xs), len(ys)))
+    line = [ls[n].decode(errors="replace") if n < len(ls) else "<end>" for ls in (xs, ys)]
+    return f"line {n + 1}: {line[0]!r} vs {line[1]!r}"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/parity.py REF", file=sys.stderr)
+        return 2
+    ref = argv[0]
+    with tempfile.TemporaryDirectory(prefix="hypbound-parity-") as tmp:
+        tmp = Path(tmp)
+        try:
+            export_src(ref, tmp / "ref")
+        except subprocess.CalledProcessError as e:
+            print(f"cannot export src at {ref}: {e.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        fixtures = tmp / "fixtures"
+        fixtures.mkdir()
+        for name, obj in FIXTURES.items():
+            (fixtures / name).write_text(json.dumps(obj), encoding="utf-8")
+        cases = invocations(fixtures)
+        diffs = 0
+        for i, case in enumerate(cases):
+            label = " ".join(Path(arg).name if os.sep in arg else arg for arg in case)
+            a = run(tmp / "ref" / "src", case, tmp / "runs" / "ref" / str(i))
+            b = run(ROOT / "src", case, tmp / "runs" / "work" / str(i))
+            if a[0] != b[0]:
+                print(f"{label}: exit code {a[0]} at {ref}, {b[0]} in the working tree")
+                diffs += 1
+            outputs = [("stdout", a[1], b[1]), ("stderr", a[2], b[2])] + [
+                (f"file {name}", a[3].get(name), b[3].get(name)) for name in sorted(a[3].keys() | b[3].keys())
+            ]
+            for what, x, y in outputs:
+                if x != y:
+                    print(f"{label}: {what} differs at {first_difference(x, y)}")
+                    diffs += 1
+        print(f"{len(cases)} invocations, {diffs} differences", file=sys.stderr)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
