@@ -52,7 +52,7 @@ class SweepRow:
     bp_lower: float
     bp_upper: float
     thm1_bound: float
-    case_tag: halving.CaseTag | None
+    case_tag: halving.CaseTag
     chain_ok: bool
 
     def csv(self) -> str:
@@ -67,7 +67,7 @@ class SweepRow:
                 _fmt(self.bp_upper),
                 _fmt(self.thm1_bound),
                 "",  # oracle: no sweep row has a closed form; kept for the schema
-                "" if self.case_tag is None else self.case_tag.value,
+                self.case_tag.value,
                 "true" if self.chain_ok else "false",
             ]
         )
@@ -220,7 +220,7 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def _validation_warnings(spec: geometry.DomainSpec):
     seq = spec.sequence
-    if seq is not None and abs(seq.resolved_points[-1]) > 1e-10:
+    if seq is not None and min(abs(p) for p in seq.resolved_points) > 1e-10:
         yield (
             "sequence truncated above 1e-10; deep queries near the origin may "
             "exhaust the resolved dyadic annuli"

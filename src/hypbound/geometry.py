@@ -130,8 +130,9 @@ class Segment:
     def __post_init__(self):
         if not (_finite(self.p) and _finite(self.q)):
             raise SpecError("segment has non-finite coordinates")
-        if self.p == self.q:
-            raise SpecError("segment endpoints coincide")
+        # also rejects endpoints so close that the squared length underflows
+        if _dot(self.q - self.p, self.q - self.p) == 0.0:
+            raise SpecError("segment is degenerate: its squared length is 0")
         if max(abs(self.p), abs(self.q)) >= 1.0:
             raise SpecError("segment is not inside the unit disk")
 
@@ -230,9 +231,6 @@ class SequenceSpec:
             if abs(p) >= 1.0:
                 raise SpecError(f"sequence point {i} is not inside the unit disk")
         return cls(pts)
-
-    def magnitudes(self) -> tuple[float, ...]:
-        return tuple(abs(p) for p in self.resolved_points)
 
 
 def _check_user_primitives(primitives: Iterable[Primitive]) -> tuple[Primitive, ...]:
@@ -434,19 +432,11 @@ class ArcRadialPath:
         return ps[1].point(2.0 * t - 1.0)
 
 
-def radial_path(start: complex, end: complex) -> ArcRadialPath:
-    if start == 0 or end == 0:
-        raise MalformedPath("radial pieces must avoid the origin")
-    th0, th1 = _angle(start), _angle(end)
-    if abs(_wrap(th1 - th0)) > 1e-9:
-        raise MalformedPath("radial endpoints are not on a common ray")
-    return ArcRadialPath(None, RadialPiece(th0, abs(start), abs(end)))
-
-
 def arc_then_radial(start: complex, target: complex) -> ArcRadialPath:
     """Shorter arc of S(0, |start|) onto the ray of target, then radially to target.
 
-    Degenerate pieces (zero sweep, equal radii) are dropped.
+    Degenerate pieces (zero sweep, equal radii) are dropped; a path left
+    with no piece raises MalformedPath.
     """
     if start == 0 or target == 0:
         raise MalformedPath("path endpoints must avoid the origin")
@@ -455,8 +445,6 @@ def arc_then_radial(start: complex, target: complex) -> ArcRadialPath:
     sweep = _wrap(th1 - th0)
     arc = ArcPiece(rho, th0, sweep) if abs(sweep) > 1e-15 else None
     radial = RadialPiece(th1, rho, abs(target)) if abs(target) != rho else None
-    if arc is None and radial is None:
-        raise MalformedPath("degenerate path: start and target coincide in radius and angle")
     return ArcRadialPath(arc, radial)
 
 
@@ -576,13 +564,11 @@ def _piece_hits(piece, prim: Primitive) -> list[float]:
     return hits
 
 
-def first_boundary_hit(spec: DomainSpec, path: ArcRadialPath, start: complex) -> complex:
+def first_boundary_hit(spec: DomainSpec, path: ArcRadialPath) -> complex:
     """First point of the boundary of G met along the path from its start.
 
     The path must end on the boundary, so a hit always exists.
     """
-    if abs(path.start() - start) > 1e-9:
-        raise MalformedPath("start does not match the path origin")
     for piece in path.pieces:
         best: float | None = None
         for prim in spec.primitives:
@@ -737,6 +723,6 @@ def load_domain(path: str) -> DomainSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise SpecError(f"{path}: invalid JSON: {e}") from e
     return domain_from_dict(obj)

@@ -38,7 +38,6 @@ from .geometry import (
     boundary_gap,
     first_boundary_hit,
     nearest_boundary,
-    radial_path,
 )
 
 DEFAULT_CERT_TOL = 1e-9
@@ -57,7 +56,7 @@ class ZeroArgument(ValueError):
 
 
 class CertificateError(RuntimeError):
-    """A built certificate breaks its own inequalities or fails verification."""
+    """A certificate cannot be built, breaks its own inequalities or fails verification."""
 
 
 class ToleranceError(ValueError):
@@ -214,24 +213,21 @@ def _interior_circle_point(spec: DomainSpec, radius: float) -> complex:
             best_gap, best_w = gap, w
     # the ring lies inside D, so best_w is in G exactly when it clears every obstacle
     if best_gap <= 0.0:
-        raise RuntimeError(
+        raise CertificateError(
             f"no interior point found on the circle of radius {radius}; domain too degenerate"
         )
     return best_w
 
 
-def _second_point_default(spec: DomainSpec, seq: SequenceSpec, zeta: complex, delta: float) -> complex:
+def _second_point_default(seq: SequenceSpec, zeta: complex, delta: float) -> complex:
     """A boundary point b with |zeta - b| >= delta/2.
 
-    Either the origin, or the first boundary point on the outward radial
-    segment from the largest sequence point (whose magnitude is then >= delta,
-    putting it at gap > delta/2 from any zeta with |zeta| < delta/2).
+    Either the origin, or the largest sequence point, whose modulus is delta,
+    putting it at gap > delta/2 from any zeta with |zeta| < delta/2.
     """
     if abs(zeta) >= delta / 2.0:
         return 0j
-    aj = max(seq.resolved_points, key=abs)
-    path = radial_path(aj, aj / abs(aj))
-    return first_boundary_hit(spec, path, aj)
+    return max(seq.resolved_points, key=abs)
 
 
 def build_certificate(spec: DomainSpec, consts: HalvingConstants, z: complex) -> Certificate:
@@ -263,11 +259,11 @@ def build_certificate(spec: DomainSpec, consts: HalvingConstants, z: complex) ->
             # z is at least half the outer scale away from its nearest point:
             # both |z - zeta| and |zeta - b| land in [delta/2, 2)
             tag = CaseTag.FAR_FROM_E
-            b = _second_point_default(spec, seq, zeta, delta)
+            b = _second_point_default(seq, zeta, delta)
         elif abs(z) >= delta / 2.0:
             # close to the obstacle but |z| itself is large
             tag = CaseTag.MID_RANGE
-            b = _second_point_default(spec, seq, zeta, delta)
+            b = _second_point_default(seq, zeta, delta)
         elif gap <= abs(z) / 8.0:
             # deep and hugging the obstacle: work at the dyadic scale of zeta,
             # two annuli down, reaching b along an arc plus a radial run
@@ -277,7 +273,7 @@ def build_certificate(spec: DomainSpec, consts: HalvingConstants, z: complex) ->
             target = seq.resolved_points[k1]
             ring = delta * 2.0 ** (-(n + 2))
             w = _interior_circle_point(spec, ring)
-            b = first_boundary_hit(spec, arc_then_radial(w, target), w)
+            b = first_boundary_hit(spec, arc_then_radial(w, target))
         else:
             # deep with gap comparable to |z|
             tag = CaseTag.DEEP_COMPARABLE
@@ -287,7 +283,7 @@ def build_certificate(spec: DomainSpec, consts: HalvingConstants, z: complex) ->
                 n = _annulus_index(delta, abs(z))
                 k = dyadic_witness(seq, n)
                 target = seq.resolved_points[k]
-                b = first_boundary_hit(spec, arc_then_radial(z, target), z)
+                b = first_boundary_hit(spec, arc_then_radial(z, target))
 
     log_ratio = abs(math.log(gap / abs(zeta - b)))
     cap = _case_cap(tag, z, zeta, delta)

@@ -76,6 +76,16 @@ class TestValidate:
         assert main(["validate", path]) == 0
         assert "truncated" in capsys.readouterr().out
 
+    def test_truncation_warning_reads_smallest_modulus(self, tmp_path, capsys):
+        # the last point sits above 1e-10 but an earlier one reaches 2.9e-11
+        pts = [[0.5 * 0.5**n, 0.0] for n in range(35)] + [[0.99 * 0.5**33, 0.0]]
+        obj = {"primitives": [], "sequence": {"type": "explicit", "points": pts}}
+        path = write_spec(tmp_path, obj)
+        assert main(["validate", path]) == 0
+        out = capsys.readouterr().out
+        assert "halving check: ok" in out
+        assert "truncated" not in out
+
     def test_clearance_warning(self, tmp_path, capsys):
         obj = {
             "primitives": [
@@ -330,8 +340,19 @@ def _bad_tolerance(monkeypatch):
 
 HYP_SPEC = {"primitives": [], "sequence": {"type": "explicit", "points": [[0.5, 0], [0.2, 0]]}}
 STARVED_SPEC = {"primitives": [], "sequence": {"type": "explicit", "points": [[0.0999999, 0]]}}
+# the DeepSmallGap ring of radius 1/64 lies inside the disk around the origin
+COVERED_RING_SPEC = {
+    "primitives": [{"type": "disk", "cx": 0, "cy": 0, "r": 0.05}],
+    "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 60},
+}
+# endpoints 1e-170 apart: the squared length underflows to 0
+SHORT_SEGMENT_SPEC = {
+    "primitives": [{"type": "segment", "x1": 0.3, "y1": 0.0, "x2": 0.3, "y2": 1e-170}],
+    "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 60},
+}
 
-# name -> (spec JSON, written and passed after the command, or None; argv,
+# name -> (spec JSON, or raw file bytes, written and passed after the command,
+# or None; argv,
 # where {tmp} is the test directory; monkeypatch hook; exit code; stderr prefix)
 EXIT_CASES = {
     "not-in-domain": (battery_json(0.5, 0.5), ["bounds", "--z=0,0"], None, 1, "not in domain: "),
@@ -344,8 +365,13 @@ EXIT_CASES = {
     "certificate-verify": (
         battery_json(0.5, 0.5), ["bounds", "--z=0,0.3"], _failed_verification, 1, "certificate failure: "
     ),
+    "covered-ring": (COVERED_RING_SPEC, ["certify", "--z=0.0655,0.001"], None, 1, "certificate failure: "),
     "spec": ({"primitives": [], "sequence": {}}, ["validate"], None, 2, "error: "),
     "missing-file": (None, ["validate", "{tmp}/nope.json"], None, 2, "error: "),
+    "non-utf8": (b"\xff\xfe{}", ["validate"], None, 2, "error: "),
+    "deep-nesting": (b"[" * 100_000 + b"]" * 100_000, ["validate"], None, 2, "error: "),
+    "short-segment": (SHORT_SEGMENT_SPEC, ["bounds", "--z=0.35,0.1"], None, 2, "error: "),
+    "short-slit": (None, ["slit-audit", "--deltas", "1e-300", "--out", "{tmp}/x.csv"], None, 2, "error: "),
     "bad-delta": (None, ["slit-audit", "--deltas", "0.3", "--out", "{tmp}/x.csv"], None, 2, "error: "),
     "z-nan": (battery_json(0.5, 0.5), ["bounds", "--z=nan,0"], None, 2, "error: "),
     "z-inf": (battery_json(0.5, 0.5), ["certify", "--z=0,-inf"], None, 2, "error: "),
@@ -358,7 +384,10 @@ class TestExitCodes:
     def test_table_row(self, name, tmp_path, capsys, monkeypatch):
         obj, argv, patch, code, prefix = EXIT_CASES[name]
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-        if obj is not None:
+        if isinstance(obj, bytes):
+            (tmp_path / "spec.json").write_bytes(obj)
+            argv.insert(1, str(tmp_path / "spec.json"))
+        elif obj is not None:
             argv.insert(1, write_spec(tmp_path, obj))
         if patch is not None:
             patch(monkeypatch)

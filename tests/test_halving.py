@@ -184,6 +184,18 @@ class TestCertificateCases:
         assert abs(cert.case_log_cap - math.log(8.0)) <= 1e-12
         assert verify_certificate(spec, consts, cert)
 
+    def test_far_from_obstacles_off_axis_partner(self):
+        # the partner is the largest sequence point itself, not a rounded
+        # copy of it (rect(|a_0|, arg a_0) is 0.21000000000000002+0.17j)
+        a0 = 0.21 + 0.17j
+        spec = DomainSpec.build(sequence=SequenceSpec.explicit(a0 * 0.6**n for n in range(60)))
+        consts = constants(spec.sequence)
+        cert = build_certificate(spec, consts, -0.4 * a0 / abs(a0))
+        assert cert.case_tag is CaseTag.FAR_FROM_E
+        assert cert.zeta == 0j
+        assert cert.b == a0
+        assert verify_certificate(spec, consts, cert)
+
     def test_mid_range(self, std):
         spec, consts = std
         cert = build_certificate(spec, consts, complex(0.5, 0.1))
