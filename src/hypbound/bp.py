@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import DistanceSet, DomainSpec, distance_set, nearest_boundary
+from .geometry import DistanceSet, DomainSpec, NearestBoundary, distance_set, nearest_boundary
 
 KAPPA = 4.0 + math.log(3.0 + 2.0 * math.sqrt(2.0))
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
@@ -70,23 +70,30 @@ def log_distance_to_set(d: float, s: DistanceSet) -> tuple[float, float]:
     return best, best_s
 
 
-def compute_L(spec: DomainSpec, z: complex) -> BPBounds:
+def compute_L(spec: DomainSpec, z: complex, nb: NearestBoundary | None = None) -> BPBounds:
     """L(z): the minimum over nearest-boundary witnesses a of the log-scale
     distance from d to the achievable-distance set of a.  Bounds are left
-    unset; bp_bounds fills them."""
-    nb = nearest_boundary(spec, z)
+    unset; bp_bounds fills them.
+
+    nb, when given, must be nearest_boundary(spec, z) for this z; a result
+    for another point raises ValueError.
+    """
+    if nb is None:
+        nb = nearest_boundary(spec, z)
+    elif nb.z != z:
+        raise ValueError(f"nearest-boundary result for {nb.z} passed for z = {z}")
     best: tuple[float, complex, float] | None = None
     for _, a in nb.witnesses:
-        val, sd = log_distance_to_set(nb.d, distance_set(spec, a))
+        val, sd = log_distance_to_set(nb.d, distance_set(spec, a, near=nb.d))
         if best is None or val < best[0]:
             best = (val, a, sd)
     val, wa, ws = best
     return BPBounds(L=val, d=nb.d, witness_a=wa, witness_s=ws)
 
 
-def bp_bounds(spec: DomainSpec, z: complex) -> BPBounds:
-    """Two-sided density bounds at z, with L and its witnesses."""
-    r = compute_L(spec, z)
+def bp_bounds(spec: DomainSpec, z: complex, nb: NearestBoundary | None = None) -> BPBounds:
+    """Two-sided density bounds at z, with L and its witnesses; nb as in compute_L."""
+    r = compute_L(spec, z, nb)
     denom = r.d * (KAPPA + r.L)
     lower = 1.0 / (TWO_ROOT_TWO * denom)
     upper = (KAPPA + math.pi / 4.0) / denom

@@ -74,9 +74,12 @@ class SweepRow:
 
 
 def point_row(spec: geometry.DomainSpec, consts: halving.HalvingConstants, z: complex) -> SweepRow:
-    bounds = bp.bp_bounds(spec, z)
+    """One sweep row; bounds and certificate share one nearest-boundary pass,
+    and the verifier makes its own."""
+    nb = geometry.nearest_boundary(spec, z)
+    bounds = bp.bp_bounds(spec, z, nb=nb)
     thm1 = halving.lower_bound(consts, z)
-    cert = halving.build_certificate(spec, consts, z)
+    cert = halving.build_certificate(spec, consts, z, nb=nb)
     if not halving.verify_certificate(spec, consts, cert):
         raise halving.CertificateError(f"certificate failed verification at z = {z}")
     return SweepRow(

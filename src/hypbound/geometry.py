@@ -10,6 +10,20 @@ Every query in this module is closed form.  No discretization appears
 anywhere: distances, nearest points, achievable-distance intervals and
 first boundary hits along arc+radial paths are all exact up to rounding.
 Points are complex numbers in unit-disk coordinates.
+
+Boundary queries read a PointIndex, built on a domain's first query: its
+SinglePoint primitives sorted by modulus, the set of those points, and the
+few other primitives.  By the triangle inequality ||z| - |p|| <= |z - p| <=
+|z| + |p|, so a point can meet a distance condition only if its modulus
+lies in a window around |z|: `contains` looks the point up, `nearest_boundary`
+and `boundary_gap` scan outward from |z| while ||z| - |p|| is at most the
+best distance so far (times 1 + TIE_REL), `first_boundary_hit` takes the
+points within HIT_TOL of an arc's radius or a radial run's range, and
+`distance_set(spec, a, near=d)` keeps the points whose |a - p| can lie as
+close to d as the best match found.  Every window is widened by _SLACK times
+its upper end, far above the few ulps by which computed moduli and
+distances can stray from exact ones, so the indexed answers are the floats
+a scan over every primitive returns.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +40,7 @@ from functools import cached_property
 GEOM_TOL = 1e-12   # on-boundary / witness tolerance
 TIE_REL = 1e-9     # relative tolerance grouping tied nearest witnesses
 HIT_TOL = 1e-10    # boundary-hit tolerance along paths
+_SLACK = 1e-9      # relative widening of every modulus window of the index
 
 _TAU = 2.0 * math.pi
 
@@ -285,6 +301,84 @@ class DomainSpec:
     def origin_registered(self) -> bool:
         return any(isinstance(p, SinglePoint) and p.p == 0 for p in self.obstacles)
 
+    @cached_property
+    def point_index(self) -> "PointIndex":
+        """Built on the first boundary query, never at load time."""
+        return PointIndex(self.primitives)
+
+
+class PointIndex:
+    """The SinglePoint primitives of a domain, sorted by modulus.
+
+    `moduli` is ascending, `slots[j]` is the primitive index of the point
+    `points[j]` of modulus `moduli[j]` (ties keep primitive order),
+    `point_set` holds the points, and `others` the (index, primitive) pairs
+    of every other primitive, the unit circle included, in primitive order.
+    """
+
+    def __init__(self, primitives: tuple[Primitive, ...]):
+        self.primitives = primitives
+        ranked = sorted(
+            (abs(prim.p), i) for i, prim in enumerate(primitives) if isinstance(prim, SinglePoint)
+        )
+        self.moduli = [m for m, _ in ranked]
+        self.slots = [i for _, i in ranked]
+        self.points = [primitives[i].p for i in self.slots]
+        self.point_set = frozenset(self.points)
+        self.others = [(i, prim) for i, prim in enumerate(primitives) if not isinstance(prim, SinglePoint)]
+
+    def between(self, lo: float, hi: float) -> list[int]:
+        """Primitive indices of the points with lo <= |p| <= hi, the window widened by _SLACK * hi."""
+        pad = abs(hi) * _SLACK
+        return self.slots[bisect_left(self.moduli, lo - pad) : bisect_right(self.moduli, hi + pad)]
+
+    def scan(self, z: complex, bound: float, tie: float) -> list[tuple[float, int, complex]]:
+        """(|z - p|, index, p) for every point p that can lie within d(1 + tie) of z.
+
+        d is the smallest distance from z to any point, or bound when that is
+        smaller.  The scan runs outward from |z| in both directions, lowers
+        bound to each nearer distance it meets, and stops once ||z| - |p||
+        exceeds bound(1 + tie), widened by _SLACK * (that + |z|).
+        """
+        r = abs(z)
+        ms, pts, slots = self.moduli, self.points, self.slots
+        out = []
+        mid = bisect_left(ms, r)
+        for js in (range(mid, len(ms)), range(mid - 1, -1, -1)):
+            for j in js:
+                reach = bound * (1.0 + tie)
+                if not abs(ms[j] - r) <= reach + (reach + r) * _SLACK:
+                    break
+                dist = abs(z - pts[j])
+                out.append((dist, slots[j], pts[j]))
+                if dist < bound:
+                    bound = dist
+        return out
+
+    def window(self, a: complex, d: float) -> tuple[tuple[float, float], ...]:
+        """The intervals of distance_set(spec, a, near=d), in primitive order.
+
+        The other primitives and the points whose moduli bracket |a| + d,
+        |a| - d and d - |a| seed the best ratio rho = e^b, where b is the
+        smallest log gap from d to one of their intervals.  A point p can
+        only do as well if d/rho <= |a - p| <= d rho, so its modulus lies in
+        [max(|a| - d rho, d/rho - |a|), |a| + d rho].
+        """
+        r = abs(a)
+        found = {i: prim.distance_interval(a) for i, prim in self.others}
+        seeds = set()
+        for target in (r + d, r - d, d - r):
+            j = bisect_left(self.moduli, target)
+            seeds.update(self.slots[max(j - 1, 0) : j + 1])
+        rho = min(
+            _ratio_gap(d, *iv)
+            for iv in (*found.values(), *(self.primitives[i].distance_interval(a) for i in seeds))
+        )
+        reach = d * rho
+        for i in self.between(max(r - reach, d / rho - r), r + reach):
+            found[i] = self.primitives[i].distance_interval(a)
+        return tuple(found[i] for i in sorted(found))
+
 
 def rotate_domain(spec: DomainSpec, theta: float) -> DomainSpec:
     """The domain rotated by e^{i theta} about the origin."""
@@ -311,14 +405,18 @@ def contains(spec: DomainSpec, z: complex) -> Membership:
         raise ValueError("query point has non-finite coordinates")
     if abs(z) >= 1.0:
         return Membership.ON_UNIT_CIRCLE_OR_OUTSIDE
-    for prim in spec.obstacles:
-        if prim.set_distance(z) <= 0.0:
-            return Membership.IN_E
+    idx = spec.point_index
+    # the unit circle among the others is at a positive distance once |z| < 1
+    if z in idx.point_set or any(prim.set_distance(z) <= 0.0 for _, prim in idx.others):
+        return Membership.IN_E
     return Membership.IN_G
 
 
 @dataclass(frozen=True)
 class NearestBoundary:
+    """Nearest-boundary data of the point z, which callers reusing it check."""
+
+    z: complex
     d: float
     witnesses: tuple[tuple[int, complex], ...]
 
@@ -326,31 +424,31 @@ class NearestBoundary:
 def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
     """Distance to the boundary of G with every realizing primitive.
 
-    Witnesses are (primitive index, realizing point) pairs listing every
-    primitive whose distance ties the minimum within relative 1e-9.
+    Witnesses are (primitive index, realizing point) pairs, in primitive
+    order, listing every primitive whose distance ties the minimum within
+    relative 1e-9.
     """
     if contains(spec, z) is not Membership.IN_G:
         raise NotInDomain(f"point {z} is not in G")
-    realized = []
-    for i, prim in enumerate(spec.primitives):
-        w = prim.nearest_point(z)
-        realized.append((abs(z - w), i, w))
-    d = min(entry[0] for entry in realized)
+    idx = spec.point_index
+    realized = [(abs(z - w), i, w) for i, prim in idx.others for w in (prim.nearest_point(z),)]
+    realized += idx.scan(z, min(dist for dist, _, _ in realized), TIE_REL)
+    d = min(dist for dist, _, _ in realized)
     cutoff = d * (1.0 + TIE_REL)
-    witnesses = []
-    for dist, i, w in realized:
-        if dist <= cutoff:
-            if spec.primitives[i].boundary_distance(w) > GEOM_TOL:
-                raise RuntimeError(f"witness {w} of primitive {i} is off the boundary")
-            witnesses.append((i, w))
+    witnesses = sorted((i, w) for dist, i, w in realized if dist <= cutoff)
+    for i, w in witnesses:
+        if spec.primitives[i].boundary_distance(w) > GEOM_TOL:
+            raise RuntimeError(f"witness {w} of primitive {i} is off the boundary")
     if spec.origin_registered and d > abs(z):
         raise RuntimeError(f"boundary distance {d} exceeds |z| = {abs(z)} with 0 on the boundary")
-    return NearestBoundary(d, tuple(witnesses))
+    return NearestBoundary(z, d, tuple(witnesses))
 
 
 def boundary_gap(spec: DomainSpec, z: complex) -> float:
     """Distance from z to the union of boundary curves of the primitives."""
-    return min(prim.boundary_distance(z) for prim in spec.primitives)
+    idx = spec.point_index
+    best = min(prim.boundary_distance(z) for _, prim in idx.others)
+    return min([best] + [dist for dist, _, _ in idx.scan(z, best, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +457,49 @@ def boundary_gap(spec: DomainSpec, z: complex) -> float:
 
 @dataclass(frozen=True)
 class DistanceSet:
-    """Per-primitive intervals {|base - b| : b in P}, aligned with spec.primitives."""
+    """Per-primitive intervals {|base - b| : b in P}, in primitive order.
+
+    Built without `near`, it holds one interval for each of spec.primitives;
+    built with `near=d`, it holds those of a subset (see distance_set).
+    """
 
     base: complex
     intervals: tuple[tuple[float, float], ...]
 
 
-def distance_set(spec: DomainSpec, a: complex) -> DistanceSet:
-    intervals = tuple(prim.distance_interval(a) for prim in spec.primitives)
-    # each lo is the same expression as that primitive's boundary_distance(a),
-    # so the smallest lo is boundary_gap(spec, a) bit for bit
-    if min(lo for lo, _ in intervals) > GEOM_TOL:
+def _ratio_gap(d: float, lo: float, hi: float) -> float:
+    """e^v for the log gap v from d to [lo, hi]; inf for an interval degenerate at 0."""
+    if hi <= 0.0:
+        return math.inf
+    if d < lo:
+        return lo / d
+    if d > hi:
+        return d / hi
+    return 1.0
+
+
+def distance_set(spec: DomainSpec, a: complex, near: float | None = None) -> DistanceSet:
+    """Achievable-distance intervals from the boundary point a.
+
+    Without `near`, every primitive's interval: the linear reference.  With
+    `near=d` (d > 0, finite), only the intervals that can come as close to d
+    in log scale as the best one: a subset in primitive order that holds
+    every interval minimizing the log gap to d, so log_distance_to_set(d, .)
+    returns the same floats for both.  Both raise NotOnBoundary exactly when
+    a lies farther than GEOM_TOL from the boundary.
+    """
+    if near is None:
+        intervals = tuple(prim.distance_interval(a) for prim in spec.primitives)
+        # each lo is the same expression as that primitive's boundary_distance(a),
+        # so the smallest lo is boundary_gap(spec, a) bit for bit
+        if min(lo for lo, _ in intervals) > GEOM_TOL:
+            raise NotOnBoundary(f"point {a} is not on the boundary of G")
+        return DistanceSet(a, intervals)
+    if not 0.0 < near < math.inf:
+        raise ValueError("near must be a positive finite distance")
+    if boundary_gap(spec, a) > GEOM_TOL:
         raise NotOnBoundary(f"point {a} is not on the boundary of G")
-    return DistanceSet(a, intervals)
+    return DistanceSet(a, spec.point_index.window(a, near))
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +697,16 @@ def first_boundary_hit(spec: DomainSpec, path: ArcRadialPath) -> complex:
 
     The path must end on the boundary, so a hit always exists.
     """
+    idx = spec.point_index
     for piece in path.pieces:
+        # a point hit lies within HIT_TOL of the piece, whose moduli span [lo, hi]
+        if isinstance(piece, ArcPiece):
+            lo = hi = piece.radius
+        else:
+            lo, hi = sorted((piece.r_start, piece.r_end))
+        near = [idx.primitives[i] for i in idx.between(lo - HIT_TOL, hi + HIT_TOL)]
         best: float | None = None
-        for prim in spec.primitives:
+        for prim in [prim for _, prim in idx.others] + near:
             for t in _piece_hits(piece, prim):
                 if best is None or t < best:
                     best = t

@@ -32,6 +32,7 @@ from .geometry import (
     HIT_TOL,
     TIE_REL,
     DomainSpec,
+    NearestBoundary,
     SequenceSpec,
     UnitCircle,
     arc_then_radial,
@@ -230,12 +231,21 @@ def _second_point_default(seq: SequenceSpec, zeta: complex, delta: float) -> com
     return max(seq.resolved_points, key=abs)
 
 
-def build_certificate(spec: DomainSpec, consts: HalvingConstants, z: complex) -> Certificate:
-    """Certificate for the bound density(z) >= c/|z| at a concrete z in G."""
+def build_certificate(
+    spec: DomainSpec, consts: HalvingConstants, z: complex, nb: NearestBoundary | None = None
+) -> Certificate:
+    """Certificate for the bound density(z) >= c/|z| at a concrete z in G.
+
+    nb, when given, must be nearest_boundary(spec, z) for this z; a result
+    for another point raises ValueError.
+    """
     seq = spec.sequence
     if seq is None:
         raise HypothesisViolated("domain carries no obstacle sequence")
-    nb = nearest_boundary(spec, z)
+    if nb is None:
+        nb = nearest_boundary(spec, z)
+    elif nb.z != z:
+        raise ValueError(f"nearest-boundary result for {nb.z} passed for z = {z}")
     delta = consts.delta
     prims = spec.primitives
     circle_witness = next(

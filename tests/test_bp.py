@@ -135,6 +135,15 @@ class TestComputeL:
         with pytest.raises(NotInDomain):
             compute_L(std_domain, 0.5 + 0j)
 
+    def test_reuses_nb_of_its_point_only(self, std_domain):
+        z = 0.3 + 0.2j
+        nb = nearest_boundary(std_domain, z)
+        assert compute_L(std_domain, z, nb) == compute_L(std_domain, z)
+        assert bp_bounds(std_domain, z, nb=nb) == bp_bounds(std_domain, z)
+        for fn in (compute_L, bp_bounds):
+            with pytest.raises(ValueError, match="nearest-boundary result for"):
+                fn(std_domain, z + 1e-12, nb=nb)
+
 
 class TestBPBounds:
     def test_punctured_fixture_values(self):

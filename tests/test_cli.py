@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from hypbound import DomainSpec, bp, constants, halving, load_domain, lower_bound
+from hypbound import DomainSpec, SequenceSpec, bp, constants, geometry, halving, load_domain, lower_bound
 from hypbound.cli import (
     CSV_HEADER,
     EXIT_CODES,
@@ -17,6 +17,7 @@ from hypbound.cli import (
     BadDelta,
     RejectionStarvation,
     main,
+    point_row,
     sample_domain_point,
     sample_domain_points,
     slit_audit_row,
@@ -164,6 +165,26 @@ class TestBounds:
         obj = {"primitives": [], "sequence": {"type": "explicit", "points": [[0.5, 0], [0.2, 0]]}}
         path = write_spec(tmp_path, obj)
         assert main(["bounds", path, "--z", "0,0.3"]) == 1
+
+
+class TestPointRow:
+    @pytest.mark.parametrize("z", [0.95 + 0j, 0.3j, 0.3 + 0.01j, 0.001 + 0.0005j, 0.0031 + 0.0002j])
+    def test_two_nearest_boundary_passes(self, monkeypatch, z):
+        # one pass shared by the bounds and the certificate, one of the verifier's own
+        spec = DomainSpec.build([], SequenceSpec.geometric(0.5, 0.5, 60))
+        consts = constants(spec.sequence)
+        expected = point_row(spec, consts, z)
+        calls = []
+        original = geometry.nearest_boundary
+
+        def counted(spec, z):
+            calls.append(z)
+            return original(spec, z)
+
+        for module in (geometry, bp, halving):
+            monkeypatch.setattr(module, "nearest_boundary", counted)
+        assert point_row(spec, consts, z) == expected
+        assert calls == [z, z]
 
 
 class TestCertify:

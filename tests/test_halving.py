@@ -30,6 +30,7 @@ from hypbound import (
     constants,
     dyadic_witness,
     lower_bound,
+    nearest_boundary,
     verify_certificate,
 )
 from hypbound.bp import KAPPA, TWO_ROOT_TWO
@@ -163,6 +164,14 @@ def std():
 
 
 class TestCertificateCases:
+    @pytest.mark.parametrize("z", [0.95 + 0j, 0.3j, 0.3 + 0.01j, 0.001 + 0.0005j])
+    def test_reuses_nb_of_its_point_only(self, std, z):
+        spec, consts = std
+        nb = nearest_boundary(spec, z)
+        assert build_certificate(spec, consts, z, nb=nb) == build_certificate(spec, consts, z)
+        with pytest.raises(ValueError, match="nearest-boundary result for"):
+            build_certificate(spec, consts, z * (1.0 + 1e-9), nb=nb)
+
     def test_circle_nearest(self, std):
         spec, consts = std
         cert = build_certificate(spec, consts, 0.95 + 0j)
@@ -460,3 +469,23 @@ class TestInvariantsUnderOptimize:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False CertificateError"
+
+    def test_nb_for_another_point_raises(self):
+        code = (
+            "from hypbound import DomainSpec, SequenceSpec, bp_bounds, build_certificate, constants, nearest_boundary\n"
+            "spec = DomainSpec.build([], SequenceSpec.geometric(0.5, 0.5, 60))\n"
+            "nb = nearest_boundary(spec, 0.3j)\n"
+            "for call in (lambda: bp_bounds(spec, 0.31j, nb=nb),\n"
+            "             lambda: build_certificate(spec, constants(spec.sequence), 0.31j, nb=nb)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError:\n"
+            "        print(__debug__, 'ValueError')\n"
+        )
+        src = str(Path(hypbound.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "ValueError"] * 2

@@ -1,0 +1,232 @@
+"""The modulus index against brute force.
+
+Every indexed boundary query in `geometry` must return the floats that a
+scan over all primitives returns: membership, the nearest distance with its
+exact witness tuple, the boundary gap, the log gap of a pruned distance set
+and the first boundary hit along a path.  The references below are written
+here, from the primitives' own methods, and do not touch the index.
+"""
+
+import cmath
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypbound import (
+    DomainSpec,
+    MalformedPath,
+    Membership,
+    NotInDomain,
+    ObstacleDisk,
+    Segment,
+    SequenceSpec,
+    SinglePoint,
+    arc_then_radial,
+    boundary_gap,
+    contains,
+    distance_set,
+    first_boundary_hit,
+    log_distance_to_set,
+    nearest_boundary,
+)
+from hypbound.geometry import TIE_REL, _piece_hits
+
+from conftest import boundary_points
+
+# ---------------------------------------------------------------------------
+# brute-force references
+
+
+def linear_contains(spec, z):
+    if abs(z) >= 1.0:
+        return Membership.ON_UNIT_CIRCLE_OR_OUTSIDE
+    if any(prim.set_distance(z) <= 0.0 for prim in spec.obstacles):
+        return Membership.IN_E
+    return Membership.IN_G
+
+
+def linear_nearest(spec, z):
+    realized = [(abs(z - w), i, w) for i, prim in enumerate(spec.primitives) for w in [prim.nearest_point(z)]]
+    d = min(dist for dist, _, _ in realized)
+    return d, tuple((i, w) for dist, i, w in realized if dist <= d * (1.0 + TIE_REL))
+
+
+def linear_gap(spec, z):
+    return min(prim.boundary_distance(z) for prim in spec.primitives)
+
+
+def linear_first_hit(spec, path):
+    for piece in path.pieces:
+        ts = [t for prim in spec.primitives for t in _piece_hits(piece, prim)]
+        if ts:
+            return piece.point(min(ts))
+    raise MalformedPath("path never meets the boundary of G")
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's value, or the type of what it raised, for side-by-side comparison."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        return type(e)
+
+
+def is_subsequence(part, whole) -> bool:
+    it = iter(whole)
+    return all(any(x == y for y in it) for x in part)
+
+
+# ---------------------------------------------------------------------------
+# specs and query points
+
+unit = st.floats(-1.0, 1.0)
+angles = st.floats(0.0, math.tau)
+inner = st.floats(-0.7, 0.7)
+
+
+@st.composite
+def user_primitives(draw):
+    out = []
+    for kind in draw(st.lists(st.sampled_from(["point", "segment", "disk"]), max_size=4)):
+        p = complex(draw(inner), draw(inner))
+        if kind == "point" and p != 0:
+            out.append(SinglePoint(p))
+        elif kind == "segment":
+            q = complex(draw(inner), draw(inner))
+            if abs(q - p) > 1e-6:
+                out.append(Segment(p, q))
+        elif kind == "disk":
+            out.append(ObstacleDisk(p * 0.7, draw(st.floats(1e-3, 0.2))))
+    return out
+
+
+@st.composite
+def specs(draw):
+    kind = draw(st.sampled_from(["geometric", "spiral", "mirrored", "user", "bare"]))
+    if kind == "bare":
+        return DomainSpec.bare(draw(user_primitives()), include_origin=draw(st.booleans()))
+    count = draw(st.integers(1, 150))
+    if kind in ("geometric", "user"):
+        seq = SequenceSpec.geometric(draw(st.floats(0.05, 0.9)), draw(st.floats(0.5, 0.99)), count)
+    else:
+        # off-axis explicit spiral; mirrored adds its conjugates, so queries
+        # on the real axis tie pairs of points exactly
+        scale, ratio, turn = draw(st.floats(0.05, 0.9)), draw(st.floats(0.5, 0.95)), draw(st.floats(-3.0, 3.0))
+        pts = [cmath.rect(scale * ratio**n, turn * n) for n in range(count)]
+        if kind == "mirrored":
+            pts += [p.conjugate() for p in pts if p.imag != 0.0]
+        seq = SequenceSpec.explicit(pts)
+    return DomainSpec.build(draw(user_primitives()) if kind == "user" else [], seq)
+
+
+def spec_points(spec):
+    return [prim.p for prim in spec.primitives if isinstance(prim, SinglePoint)]
+
+
+@st.composite
+def spec_and_point(draw):
+    """A spec and a query point: uniform, log-uniform deep, or hugging a point
+    of the spec at a relative gap in [1e-12, 1e-1]; uniform and deep points
+    land on the real axis a quarter of the time."""
+    spec = draw(specs())
+    pts = spec_points(spec)
+    kind = draw(st.sampled_from(["uniform", "deep", "hug"] if pts else ["uniform", "deep"]))
+    if kind == "hug":
+        p = draw(st.sampled_from(pts))
+        gap = 10.0 ** draw(st.floats(-12.0, -1.0)) * (abs(p) or 1.0)
+        return spec, p + cmath.rect(gap, draw(angles))
+    if kind == "uniform":
+        z = complex(draw(unit), draw(unit))
+    else:
+        z = cmath.rect(10.0 ** draw(st.floats(-12.0, 0.0)), draw(angles))
+    if draw(st.integers(0, 3)) == 0:
+        z = complex(z.real, 0.0)
+    return spec, z
+
+
+INDEXED = settings(max_examples=250, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# conformance
+
+
+@given(spec_and_point())
+@INDEXED
+def test_contains(case):
+    spec, z = case
+    assert contains(spec, z) is linear_contains(spec, z)
+
+
+@given(specs())
+@settings(max_examples=60, deadline=None)
+def test_every_point_is_in_e(spec):
+    for p in spec_points(spec):
+        assert contains(spec, p) is Membership.IN_E
+        assert boundary_gap(spec, p) == 0.0
+
+
+@given(spec_and_point())
+@INDEXED
+def test_nearest_boundary(case):
+    spec, z = case
+    if linear_contains(spec, z) is not Membership.IN_G:
+        with pytest.raises(NotInDomain):
+            nearest_boundary(spec, z)
+        return
+    nb = nearest_boundary(spec, z)
+    assert (nb.z, nb.d, nb.witnesses) == (z, *linear_nearest(spec, z))
+
+
+@given(spec_and_point())
+@INDEXED
+def test_boundary_gap(case):
+    spec, z = case
+    assert boundary_gap(spec, z) == linear_gap(spec, z)
+
+
+@given(spec_and_point(), st.floats(-12.0, 0.3))
+@INDEXED
+def test_pruned_distance_set(case, log_d):
+    spec, z = case
+    # bases: z itself (off the boundary unless it hugs a point within
+    # GEOM_TOL), its nearest witnesses, and boundary points of every primitive
+    bases = [z] + boundary_points(spec, 8, seed=len(spec.primitives))
+    dists = [10.0**log_d]
+    if linear_contains(spec, z) is Membership.IN_G:
+        d, witnesses = linear_nearest(spec, z)
+        bases += [w for _, w in witnesses[:20]]
+        dists.append(d)
+    for a in bases:
+        for d in dists:
+            full, near = outcome(distance_set, spec, a), outcome(distance_set, spec, a, near=d)
+            if isinstance(full, type) or isinstance(near, type):
+                assert near is full
+                continue
+            assert is_subsequence(near.intervals, full.intervals)
+            assert log_distance_to_set(d, near) == log_distance_to_set(d, full)
+
+
+@given(spec_and_point(), st.data())
+@INDEXED
+def test_first_boundary_hit(case, data):
+    spec, z = case
+    if linear_contains(spec, z) is not Membership.IN_G:
+        return
+    pts = [p for p in spec_points(spec) if p != 0] or [cmath.rect(1.0, data.draw(angles))]
+    target = data.draw(st.sampled_from(pts))
+    for start in (z, cmath.rect(abs(z), data.draw(angles))):
+        path = outcome(arc_then_radial, start, target)
+        if not isinstance(path, type):
+            assert outcome(first_boundary_hit, spec, path) == outcome(linear_first_hit, spec, path)
+
+
+def test_hit_on_a_far_ring_of_a_dense_sequence():
+    # the arc crosses many points' rays but meets only those of its own modulus
+    spec = DomainSpec.build([], SequenceSpec.explicit(cmath.rect(0.5 * 0.99**n, 0.3 * n) for n in range(400)))
+    start = cmath.rect(abs(spec.primitives[200].p), 1.0)
+    for target in (spec.primitives[100].p, spec.primitives[300].p, 1j):
+        path = arc_then_radial(start, target)
+        assert first_boundary_hit(spec, path) == linear_first_hit(spec, path)

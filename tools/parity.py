@@ -57,6 +57,12 @@ def invocations(fixtures: Path) -> list[list[str]]:
         ["certify", demo, "--z=0.35,0.1"],
         ["certify", spiral, "--z=0.001,0.0005"],
         ["certify", spiral, "--z=-0.02,0.013"],
+        # dense.json through the modulus index: 170 tied witnesses (DeepComparable),
+        # 369 witnesses (FarFromE), DeepSmallGap, and DeepComparable with a path hit
+        ["bounds", dense, "--z=-0.2,0.1"],
+        ["bounds", dense, "--z=-0.05,-0.3"],
+        ["certify", dense, "--z=0.0031,0.0002"],
+        ["certify", dense, "--z=-0.004,0.003"],
         # within about 1e-8 of the unit circle: exit 1, certificate failure
         ["certify", demo, "--z=0.94723317263975,-0.32054529899594186"],
         ["slit-audit", "--deltas", "0.2,0.1,0.01,0.001", "--out", "out.csv"],
