@@ -136,7 +136,7 @@ def sweep_rows(
 ) -> list[SweepRow]:
     """Rows at n sampled points; |z| stays at least 10x the resolved sequence
     floor, so dyadic witnesses exist at every sampled scale."""
-    floor = min(abs(p) for p in spec.sequence.resolved_points) if spec.sequence else 0.0
+    floor = spec.sequence.floor if spec.sequence else 0.0
     return [point_row(spec, consts, z) for z in sample_domain_points(spec, seed, n, 10.0 * floor)]
 
 
@@ -223,7 +223,7 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def _validation_warnings(spec: geometry.DomainSpec):
     seq = spec.sequence
-    if seq is not None and min(abs(p) for p in seq.resolved_points) > 1e-10:
+    if seq is not None and seq.floor > 1e-10:
         yield (
             "sequence truncated above 1e-10; deep queries near the origin may "
             "exhaust the resolved dyadic annuli"

@@ -98,6 +98,10 @@ class UnitCircle:
     def nearest_point(self, z: complex) -> complex:
         if z == 0:
             return complex(1.0, 0.0)
+        if abs(z) < 1e-150:
+            # near the subnormals |z| rounds too coarsely for z / |z| to land on
+            # the circle (5e-324 + 5e-324j gives 1 + 1j); a power of 2 scales exactly
+            z *= 2.0**500
         return z / abs(z)
 
     def distance_interval(self, a: complex) -> tuple[float, float]:
@@ -247,6 +251,16 @@ class SequenceSpec:
             if abs(p) >= 1.0:
                 raise SpecError(f"sequence point {i} is not inside the unit disk")
         return cls(pts)
+
+    @cached_property
+    def largest(self) -> complex:
+        """The first point of largest modulus; its modulus is delta."""
+        return max(self.resolved_points, key=abs)
+
+    @cached_property
+    def floor(self) -> float:
+        """The smallest modulus of a resolved point."""
+        return min(abs(p) for p in self.resolved_points)
 
 
 def _check_user_primitives(primitives: Iterable[Primitive]) -> tuple[Primitive, ...]:
@@ -624,11 +638,17 @@ def _arc_candidates(arc: ArcPiece, prim: Primitive) -> list[float]:
                     out.append(t)
     elif isinstance(prim, ObstacleDisk):
         d0 = abs(prim.center)
+        den = 2.0 * d0 * arc.radius
         if d0 <= GEOM_TOL:
             if abs(arc.radius - prim.radius) <= HIT_TOL:
                 out.append(0.0)
+        elif den == 0.0:
+            # an arc so near the origin that 2 d0 r underflows meets the
+            # circle only if the circle passes within HIT_TOL of the origin
+            if prim.boundary_distance(0j) <= HIT_TOL:
+                out.append(0.0)
         else:
-            x = (d0 * d0 + arc.radius**2 - prim.radius**2) / (2.0 * d0 * arc.radius)
+            x = (d0 * d0 + arc.radius**2 - prim.radius**2) / den
             if abs(x) <= 1.0 + 1e-9:
                 beta = math.acos(min(max(x, -1.0), 1.0))
                 base = _angle(prim.center)

@@ -119,7 +119,7 @@ class HalvingConstants:
 
 def constants(seq: SequenceSpec) -> HalvingConstants:
     check_halving(seq)
-    delta = max(abs(p) for p in seq.resolved_points)
+    delta = abs(seq.largest)
     branch_log4delta = 1.0 / (TWO_ROOT_TWO * (KAPPA + math.log(4.0 / delta)))
     branch_5log2 = 1.0 / (TWO_ROOT_TWO * (KAPPA + 5.0 * math.log(2.0)))
     c = min(branch_log4delta, branch_5log2)
@@ -138,7 +138,7 @@ def dyadic_witness(seq: SequenceSpec, n: int) -> int:
     """
     if n < 0:
         raise ValueError("annulus index must be >= 0")
-    delta = max(abs(p) for p in seq.resolved_points)
+    delta = abs(seq.largest)
     hi = delta * 2.0 ** (-n)
     lo = delta * 2.0 ** (-(n + 1))
     for k, p in enumerate(seq.resolved_points):
@@ -204,12 +204,22 @@ def _annulus_index(delta: float, r: float) -> int:
 
 
 def _interior_circle_point(spec: DomainSpec, radius: float) -> complex:
-    """A point of G on S(0, radius): best of 64 directions by obstacle clearance."""
+    """A point of G on S(0, radius): best of 64 directions by obstacle clearance.
+
+    Each direction's clearance is its smallest set_distance to an obstacle,
+    read through the point index as boundary_gap reads it: the segments and
+    disks seed the bound, and the scan visits every point that can lie
+    within it.  The minimizer is among the distances taken, so the minimum
+    is the float a scan over every obstacle returns.
+    """
+    idx = spec.point_index
+    fat = [prim for _, prim in idx.others if not isinstance(prim, UnitCircle)]
     best_gap = -1.0
     best_w = 0j
     for j in range(64):
         w = cmath.rect(radius, (2.0 * math.pi) * j / 64.0)
-        gap = min(prim.set_distance(w) for prim in spec.obstacles)
+        bound = min((prim.set_distance(w) for prim in fat), default=math.inf)
+        gap = min([bound] + [dist for dist, _, _ in idx.scan(w, bound, 0.0)])
         if gap > best_gap:
             best_gap, best_w = gap, w
     # the ring lies inside D, so best_w is in G exactly when it clears every obstacle
@@ -228,7 +238,7 @@ def _second_point_default(seq: SequenceSpec, zeta: complex, delta: float) -> com
     """
     if abs(zeta) >= delta / 2.0:
         return 0j
-    return max(seq.resolved_points, key=abs)
+    return seq.largest
 
 
 def build_certificate(

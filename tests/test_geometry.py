@@ -229,6 +229,14 @@ class TestNearestBoundary:
             checked += 1
             assert nearest_boundary(std_domain, z).d <= abs(z)
 
+    @pytest.mark.parametrize("z", [5e-324 + 5e-324j, 3e-310 - 1e-320j])
+    def test_circle_witness_of_a_subnormal_point(self, z):
+        spec = DomainSpec.bare()
+        (i, w), = nearest_boundary(spec, z).witnesses
+        assert isinstance(spec.primitives[i], UnitCircle)
+        assert abs(1.0 - abs(w)) <= 1e-15
+        assert abs(w - cmath.rect(1.0, cmath.phase(z))) <= 1e-15
+
 
 # ---------------------------------------------------------------------------
 # achievable distances

@@ -2,16 +2,17 @@
 
 Every indexed boundary query in `geometry` must return the floats that a
 scan over all primitives returns: membership, the nearest distance with its
-exact witness tuple, the boundary gap, the log gap of a pruned distance set
-and the first boundary hit along a path.  The references below are written
-here, from the primitives' own methods, and do not touch the index.
+exact witness tuple, the boundary gap, the log gap of a pruned distance set,
+the first boundary hit along a path, and the ring point a DeepSmallGap
+certificate starts from.  The references below are written here, from the
+primitives' own methods, and do not touch the index.
 """
 
 import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypbound import (
@@ -32,6 +33,7 @@ from hypbound import (
     nearest_boundary,
 )
 from hypbound.geometry import TIE_REL, _piece_hits
+from hypbound.halving import CertificateError, _interior_circle_point
 
 from conftest import boundary_points
 
@@ -63,6 +65,17 @@ def linear_first_hit(spec, path):
         if ts:
             return piece.point(min(ts))
     raise MalformedPath("path never meets the boundary of G")
+
+
+def linear_circle_point(spec, radius):
+    """(gap, w) of the first of 64 directions on S(0, radius) farthest from every obstacle."""
+    best_gap, best_w = -1.0, 0j
+    for j in range(64):
+        w = cmath.rect(radius, (2.0 * math.pi) * j / 64.0)
+        gap = min(prim.set_distance(w) for prim in spec.obstacles)
+        if gap > best_gap:
+            best_gap, best_w = gap, w
+    return best_gap, best_w
 
 
 def outcome(fn, *args, **kwargs):
@@ -230,3 +243,87 @@ def test_hit_on_a_far_ring_of_a_dense_sequence():
     for target in (spec.primitives[100].p, spec.primitives[300].p, 1j):
         path = arc_then_radial(start, target)
         assert first_boundary_hit(spec, path) == linear_first_hit(spec, path)
+
+
+@st.composite
+def spec_and_ring(draw):
+    """A spec with obstacles and a ring radius: dyadic below the sequence's
+    outer modulus, log-uniform, or the modulus of one of its points.  Extra
+    user primitives may sit on the ring: a point exactly in one of the 64
+    directions (gap 0 there), a disk or a segment straddling it (so the
+    seeded bound matters), or a disk about 0 covering it."""
+    spec = draw(specs())
+    assume(spec.obstacles)
+    pts = [p for p in spec_points(spec) if p != 0]
+    kinds = ["dyadic", "uniform"] + (["through"] if pts else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "dyadic":
+        outer = abs(spec.sequence.largest) if spec.sequence else 0.5
+        radius = outer * 2.0 ** -draw(st.integers(2, 40))
+    elif kind == "uniform":
+        radius = 10.0 ** draw(st.floats(-12.0, -0.35))
+    else:
+        radius = abs(draw(st.sampled_from(pts)))
+    extras = []
+    for extra in draw(st.lists(st.sampled_from(["direction", "disk", "segment", "cover"]), max_size=3)):
+        if extra == "direction":
+            extras.append(SinglePoint(cmath.rect(radius, (2.0 * math.pi) * draw(st.integers(0, 63)) / 64.0)))
+        elif radius > 0.45:
+            continue
+        elif extra == "disk":
+            extras.append(ObstacleDisk(cmath.rect(radius, draw(angles)), radius * draw(st.floats(0.01, 0.9))))
+        elif extra == "segment":
+            f = draw(st.floats(0.01, 0.9))
+            extras.append(Segment(cmath.rect(radius * (1.0 - f), draw(angles)), cmath.rect(radius * (1.0 + f), draw(angles))))
+        else:
+            extras.append(ObstacleDisk(0j, radius * draw(st.floats(1.01, 1.5))))
+    user = list(spec.primitives[: spec.n_user]) + extras
+    if spec.sequence is None:
+        return DomainSpec.bare(user, include_origin=spec.origin_registered), radius
+    return DomainSpec.build(user, spec.sequence), radius
+
+
+# below every sequence point the origin, at distance RING, is nearest in each
+# direction; the disk on the ring at angle 0 seeds bounds up to 1.7 RING
+RING = 0.25 * 2.0**-8
+RING_CASE = (DomainSpec.build([ObstacleDisk(complex(RING, 0.0), 0.3 * RING)], SequenceSpec.geometric(0.25, 0.5, 3)), RING)
+
+
+@given(spec_and_ring())
+@example(RING_CASE)
+@INDEXED
+def test_interior_circle_point(case):
+    spec, radius = case
+    gap, w = linear_circle_point(spec, radius)
+    if gap <= 0.0:
+        with pytest.raises(CertificateError):
+            _interior_circle_point(spec, radius)
+    else:
+        assert _interior_circle_point(spec, radius) == w
+
+
+moduli = st.floats(1e-6, 0.99)
+
+
+@given(st.lists(st.tuples(moduli, angles, st.sampled_from(["one", "mirror", "flip"])), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_sequence_extremes(draws):
+    # conjugates and negatives share a modulus bit for bit, so maxima and minima tie
+    pts = []
+    for m, theta, how in draws:
+        p = cmath.rect(m, theta)
+        pts += {"one": [p], "mirror": [p, p.conjugate()], "flip": [p, -p]}[how]
+    seq = SequenceSpec.explicit(pts)
+    top = max(abs(p) for p in pts)
+    assert seq.largest == next(p for p in pts if abs(p) == top)
+    assert seq.floor == min(abs(p) for p in pts)
+
+
+def test_hit_from_a_subnormal_start():
+    # the arc of radius 5e-324 underflows the cosine rule against the disk
+    spec = DomainSpec.bare([SinglePoint(0.5j), ObstacleDisk(complex(0.175, 0.0), 0.125)])
+    for start in (5e-324 + 0j, 5e-324 - 5e-324j):
+        path = arc_then_radial(start, 0.5j)
+        hit = first_boundary_hit(spec, path)
+        assert hit == linear_first_hit(spec, path)
+        assert abs(hit - 0.5j) <= 1e-15

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +44,18 @@ FIXTURES = {
         ],
         "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 60},
     },
+    # a 24-point halving spiral; the disk and the segment cross the dyadic ring
+    # |z| = 2^-7 that DeepSmallGap certificates near a_4 start from
+    "ring.json": {
+        "primitives": [
+            {"type": "disk", "cx": 0.0021, "cy": -0.0075, "r": 0.002},
+            {"type": "segment", "x1": -0.0038, "y1": 0.0028, "x2": -0.0069, "y2": 0.0095},
+        ],
+        "sequence": {
+            "type": "explicit",
+            "points": [[0.5**(k + 1) * math.cos(0.3 * k), -0.5**(k + 1) * math.sin(0.3 * k)] for k in range(24)],
+        },
+    },
 }
 
 
@@ -57,6 +70,10 @@ def invocations(fixtures: Path) -> list[list[str]]:
         ["certify", demo, "--z=0.35,0.1"],
         ["certify", spiral, "--z=0.001,0.0005"],
         ["certify", spiral, "--z=-0.02,0.013"],
+        # DeepSmallGap: the arc-plus-radial walk starts on a dyadic ring; on
+        # ring.json the first of these reaches b on the disk
+        *(["certify", spiral, f"--z={z}"] for z in ("-0.0328,-0.0121", "0.0024,-0.0124", "0.0045,0.0001")),
+        *(["certify", str(fixtures / "ring.json"), f"--z={z}"] for z in ("0.0115,-0.0289", "0.0392,-0.0484", "0.0012,-0.0155")),
         # dense.json through the modulus index: 170 tied witnesses (DeepComparable),
         # 369 witnesses (FarFromE), DeepSmallGap, and DeepComparable with a path hit
         ["bounds", dense, "--z=-0.2,0.1"],
