@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import DistanceSet, DomainSpec, NearestBoundary, distance_set, nearest_boundary
+from .geometry import DistanceSet, DomainSpec, NearestBoundary, _ratio_gap, distance_set, nearest_boundary
 
 KAPPA = 4.0 + math.log(3.0 + 2.0 * math.sqrt(2.0))
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
@@ -24,11 +24,6 @@ TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
 
 class EmptySet(ValueError):
     """Every achievable-distance interval is degenerate at zero."""
-
-
-def kappa() -> float:
-    """Absolute constant of the two-sided density estimate."""
-    return KAPPA
 
 
 @dataclass(frozen=True)
@@ -57,14 +52,9 @@ def log_distance_to_set(d: float, s: DistanceSet) -> tuple[float, float]:
     for lo, hi in s.intervals:
         if hi <= 0.0:
             continue
-        if d < lo:
-            val, sd = math.log(lo / d), lo
-        elif d > hi:
-            val, sd = math.log(d / hi), hi
-        else:
-            val, sd = 0.0, d
+        val = math.log(_ratio_gap(d, lo, hi))
         if best is None or val < best:
-            best, best_s = val, sd
+            best, best_s = val, lo if d < lo else hi if d > hi else d
     if best is None:
         raise EmptySet("no positive achievable distances from the base point")
     return best, best_s

@@ -326,8 +326,9 @@ class PointIndex:
 
     `moduli` is ascending, `slots[j]` is the primitive index of the point
     `points[j]` of modulus `moduli[j]` (ties keep primitive order),
-    `point_set` holds the points, and `others` the (index, primitive) pairs
-    of every other primitive, the unit circle included, in primitive order.
+    `point_set` holds the points, `others` the (index, primitive) pairs of
+    every other primitive, the unit circle included, in primitive order, and
+    `shapes` the segments and disks among them.
     """
 
     def __init__(self, primitives: tuple[Primitive, ...]):
@@ -340,6 +341,7 @@ class PointIndex:
         self.points = [primitives[i].p for i in self.slots]
         self.point_set = frozenset(self.points)
         self.others = [(i, prim) for i, prim in enumerate(primitives) if not isinstance(prim, SinglePoint)]
+        self.shapes = [prim for _, prim in self.others if not isinstance(prim, UnitCircle)]
 
     def between(self, lo: float, hi: float) -> list[int]:
         """Primitive indices of the points with lo <= |p| <= hi, the window widened by _SLACK * hi."""
@@ -368,6 +370,10 @@ class PointIndex:
                 if dist < bound:
                     bound = dist
         return out
+
+    def nearest(self, z: complex, bound: float) -> float:
+        """The smaller of bound and the distance from z to the nearest point."""
+        return min([bound] + [dist for dist, _, _ in self.scan(z, bound, 0.0)])
 
     def window(self, a: complex, d: float) -> tuple[tuple[float, float], ...]:
         """The intervals of distance_set(spec, a, near=d), in primitive order.
@@ -420,8 +426,7 @@ def contains(spec: DomainSpec, z: complex) -> Membership:
     if abs(z) >= 1.0:
         return Membership.ON_UNIT_CIRCLE_OR_OUTSIDE
     idx = spec.point_index
-    # the unit circle among the others is at a positive distance once |z| < 1
-    if z in idx.point_set or any(prim.set_distance(z) <= 0.0 for _, prim in idx.others):
+    if z in idx.point_set or any(prim.set_distance(z) <= 0.0 for prim in idx.shapes):
         return Membership.IN_E
     return Membership.IN_G
 
@@ -461,8 +466,13 @@ def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
 def boundary_gap(spec: DomainSpec, z: complex) -> float:
     """Distance from z to the union of boundary curves of the primitives."""
     idx = spec.point_index
-    best = min(prim.boundary_distance(z) for _, prim in idx.others)
-    return min([best] + [dist for dist, _, _ in idx.scan(z, best, 0.0)])
+    return idx.nearest(z, min(prim.boundary_distance(z) for _, prim in idx.others))
+
+
+def obstacle_gap(spec: DomainSpec, z: complex) -> float:
+    """Distance from z to E, the union of the obstacles; inf when there is none."""
+    idx = spec.point_index
+    return idx.nearest(z, min((prim.set_distance(z) for prim in idx.shapes), default=math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +492,13 @@ class DistanceSet:
 
 
 def _ratio_gap(d: float, lo: float, hi: float) -> float:
-    """e^v for the log gap v from d to [lo, hi]; inf for an interval degenerate at 0."""
+    """e^v for the log gap v from d > 0 to [lo, hi], read against the clamp s
+    of d into it; inf for an interval degenerate at 0."""
     if hi <= 0.0:
         return math.inf
-    if d < lo:
-        return lo / d
-    if d > hi:
-        return d / hi
-    return 1.0
+    # min(max(d, lo), hi) without two builtin calls: this runs once per interval
+    s = lo if d < lo else hi if d > hi else d
+    return s / d if s > d else d / s
 
 
 def distance_set(spec: DomainSpec, a: complex, near: float | None = None) -> DistanceSet:

@@ -39,6 +39,7 @@ from .geometry import (
     boundary_gap,
     first_boundary_hit,
     nearest_boundary,
+    obstacle_gap,
 )
 
 DEFAULT_CERT_TOL = 1e-9
@@ -120,6 +121,9 @@ class HalvingConstants:
 def constants(seq: SequenceSpec) -> HalvingConstants:
     check_halving(seq)
     delta = abs(seq.largest)
+    if math.isinf(4.0 / delta):
+        k = seq.resolved_points.index(seq.largest)
+        raise HypothesisViolated(f"at index {k}: delta = |a_{k}| = {delta} is too small; 4/delta overflows")
     branch_log4delta = 1.0 / (TWO_ROOT_TWO * (KAPPA + math.log(4.0 / delta)))
     branch_5log2 = 1.0 / (TWO_ROOT_TWO * (KAPPA + 5.0 * math.log(2.0)))
     c = min(branch_log4delta, branch_5log2)
@@ -191,11 +195,34 @@ def _case_cap(tag: CaseTag, z: complex, zeta: complex, delta: float) -> float:
     return math.log(32.0)
 
 
+def _circle_witness(spec: DomainSpec, nb: NearestBoundary) -> complex | None:
+    """The first nearest witness on the unit circle, if any."""
+    return next((w for i, w in nb.witnesses if isinstance(spec.primitives[i], UnitCircle)), None)
+
+
+def _case_tag(circle: complex | None, z: complex, gap: float, delta: float) -> CaseTag:
+    """The case split behind the bound; circle is the unit-circle witness or None."""
+    if circle is not None:
+        return CaseTag.CIRCLE_NEAREST
+    if gap >= delta / 2.0:
+        # z is at least half the outer scale away from its nearest point:
+        # both |z - zeta| and |zeta - b| land in [delta/2, 2)
+        return CaseTag.FAR_FROM_E
+    if abs(z) >= delta / 2.0:
+        # close to the obstacle but |z| itself is large
+        return CaseTag.MID_RANGE
+    if gap <= abs(z) / 8.0:
+        # deep and hugging the obstacle
+        return CaseTag.DEEP_SMALL_GAP
+    # deep with gap comparable to |z|
+    return CaseTag.DEEP_COMPARABLE
+
+
 def _annulus_index(delta: float, r: float) -> int:
     """Unique n >= 0 with 2^{-(n+1)} delta < r <= 2^{-n} delta."""
     if not 0.0 < r <= delta:
         raise ValueError("radius outside (0, delta]")
-    n = max(int(math.floor(math.log2(delta / r))), 0)
+    n = max(int(math.floor(math.log2(delta) - math.log2(r))), 0)
     while delta * 2.0 ** (-(n + 1)) >= r:
         n += 1
     while n > 0 and delta * 2.0 ** (-n) < r:
@@ -204,22 +231,13 @@ def _annulus_index(delta: float, r: float) -> int:
 
 
 def _interior_circle_point(spec: DomainSpec, radius: float) -> complex:
-    """A point of G on S(0, radius): best of 64 directions by obstacle clearance.
-
-    Each direction's clearance is its smallest set_distance to an obstacle,
-    read through the point index as boundary_gap reads it: the segments and
-    disks seed the bound, and the scan visits every point that can lie
-    within it.  The minimizer is among the distances taken, so the minimum
-    is the float a scan over every obstacle returns.
-    """
-    idx = spec.point_index
-    fat = [prim for _, prim in idx.others if not isinstance(prim, UnitCircle)]
+    """A point of G on S(0, radius): the first of 64 directions with the
+    largest obstacle clearance obstacle_gap."""
     best_gap = -1.0
     best_w = 0j
     for j in range(64):
         w = cmath.rect(radius, (2.0 * math.pi) * j / 64.0)
-        bound = min((prim.set_distance(w) for prim in fat), default=math.inf)
-        gap = min([bound] + [dist for dist, _, _ in idx.scan(w, bound, 0.0)])
+        gap = obstacle_gap(spec, w)
         if gap > best_gap:
             best_gap, best_w = gap, w
     # the ring lies inside D, so best_w is in G exactly when it clears every obstacle
@@ -228,17 +246,6 @@ def _interior_circle_point(spec: DomainSpec, radius: float) -> complex:
             f"no interior point found on the circle of radius {radius}; domain too degenerate"
         )
     return best_w
-
-
-def _second_point_default(seq: SequenceSpec, zeta: complex, delta: float) -> complex:
-    """A boundary point b with |zeta - b| >= delta/2.
-
-    Either the origin, or the largest sequence point, whose modulus is delta,
-    putting it at gap > delta/2 from any zeta with |zeta| < delta/2.
-    """
-    if abs(zeta) >= delta / 2.0:
-        return 0j
-    return seq.largest
 
 
 def build_certificate(
@@ -257,53 +264,37 @@ def build_certificate(
     elif nb.z != z:
         raise ValueError(f"nearest-boundary result for {nb.z} passed for z = {z}")
     delta = consts.delta
-    prims = spec.primitives
-    circle_witness = next(
-        (w for i, w in nb.witnesses if isinstance(prims[i], UnitCircle)), None
+    circle = _circle_witness(spec, nb)
+    zeta = circle if circle is not None else min(
+        (w for _, w in nb.witnesses), key=lambda w: (abs(w), math.atan2(w.imag, w.real))
     )
+    gap = abs(z - zeta)
+    tag = _case_tag(circle, z, gap, delta)
 
-    if circle_witness is not None:
-        # nearest boundary on the unit circle: a chord partner kills the log term
-        tag = CaseTag.CIRCLE_NEAREST
-        zeta = circle_witness
-        gap = abs(z - zeta)
+    if tag is CaseTag.CIRCLE_NEAREST:
+        # a chord partner kills the log term
         phi = 2.0 * math.asin(min(gap / 2.0, 1.0))
         b = zeta * cmath.rect(1.0, phi)
+    elif tag in (CaseTag.FAR_FROM_E, CaseTag.MID_RANGE):
+        # |zeta - b| >= delta/2: the largest sequence point has modulus delta
+        b = 0j if abs(zeta) >= delta / 2.0 else seq.largest
+    elif tag is CaseTag.DEEP_SMALL_GAP:
+        # work at the dyadic scale of zeta, two annuli down, reaching b
+        # along an arc plus a radial run
+        n = _annulus_index(delta, abs(zeta))
+        k1 = dyadic_witness(seq, n + 2)
+        target = seq.resolved_points[k1]
+        ring = delta * 2.0 ** (-(n + 2))
+        w = _interior_circle_point(spec, ring)
+        b = first_boundary_hit(spec, arc_then_radial(w, target))
+    elif abs(zeta) >= abs(z) / 4.0:
+        # DeepComparable: the origin, or the dyadic witness at the scale of z
+        b = 0j
     else:
-        zeta = min(
-            (w for _, w in nb.witnesses),
-            key=lambda w: (abs(w), math.atan2(w.imag, w.real)),
-        )
-        gap = abs(z - zeta)
-        if gap >= delta / 2.0:
-            # z is at least half the outer scale away from its nearest point:
-            # both |z - zeta| and |zeta - b| land in [delta/2, 2)
-            tag = CaseTag.FAR_FROM_E
-            b = _second_point_default(seq, zeta, delta)
-        elif abs(z) >= delta / 2.0:
-            # close to the obstacle but |z| itself is large
-            tag = CaseTag.MID_RANGE
-            b = _second_point_default(seq, zeta, delta)
-        elif gap <= abs(z) / 8.0:
-            # deep and hugging the obstacle: work at the dyadic scale of zeta,
-            # two annuli down, reaching b along an arc plus a radial run
-            tag = CaseTag.DEEP_SMALL_GAP
-            n = _annulus_index(delta, abs(zeta))
-            k1 = dyadic_witness(seq, n + 2)
-            target = seq.resolved_points[k1]
-            ring = delta * 2.0 ** (-(n + 2))
-            w = _interior_circle_point(spec, ring)
-            b = first_boundary_hit(spec, arc_then_radial(w, target))
-        else:
-            # deep with gap comparable to |z|
-            tag = CaseTag.DEEP_COMPARABLE
-            if abs(zeta) >= abs(z) / 4.0:
-                b = 0j
-            else:
-                n = _annulus_index(delta, abs(z))
-                k = dyadic_witness(seq, n)
-                target = seq.resolved_points[k]
-                b = first_boundary_hit(spec, arc_then_radial(z, target))
+        n = _annulus_index(delta, abs(z))
+        k = dyadic_witness(seq, n)
+        target = seq.resolved_points[k]
+        b = first_boundary_hit(spec, arc_then_radial(z, target))
 
     log_ratio = abs(math.log(gap / abs(zeta - b)))
     cap = _case_cap(tag, z, zeta, delta)
@@ -318,9 +309,9 @@ def build_certificate(
 def verify_certificate(spec: DomainSpec, consts: HalvingConstants, cert: Certificate) -> bool:
     """Re-check every certificate invariant from scratch.
 
-    Recomputes membership, the boundary distance, the log ratio, the case
-    cap and the implied bound; returns False instead of raising, so
-    tampered certificates are rejected rather than exploding.
+    Recomputes membership, the boundary distance, the case tag, the log
+    ratio, the case cap and the implied bound; returns False instead of
+    raising, so tampered certificates are rejected rather than exploding.
     """
     tol = certificate_tolerance()
     z, zeta, b = cert.z, cert.zeta, cert.b
@@ -332,6 +323,8 @@ def verify_certificate(spec: DomainSpec, consts: HalvingConstants, cert: Certifi
     if gap <= 0.0 or b == zeta:
         return False
     if not nb.d * (1.0 - TIE_REL) <= gap <= nb.d * (1.0 + TIE_REL):
+        return False
+    if _case_tag(_circle_witness(spec, nb), z, gap, consts.delta) is not cert.case_tag:
         return False
     if boundary_gap(spec, zeta) > GEOM_TOL:
         return False

@@ -20,7 +20,6 @@ from hypbound import (
     contains,
     distance_set,
     dyadic_witness,
-    kappa,
     nearest_boundary,
     rotate_domain,
     verify_certificate,
@@ -56,8 +55,8 @@ def _two_point_seq(delta):
 
 def test_criterion_1_constants():
     with verdict(1):
-        assert abs(kappa() - 5.7627) <= 1e-4
-        combo = 1.0 / (2.0 * math.sqrt(2.0) * (kappa() + 5.0 * math.log(2.0)))
+        assert abs(KAPPA - 5.7627) <= 1e-4
+        combo = 1.0 / (2.0 * math.sqrt(2.0) * (KAPPA + 5.0 * math.log(2.0)))
         assert abs(combo - 0.03831) <= 1e-5
         # the two branches of the certified constant swap exactly at delta = 1/8
         lo, hi = 0.05, 0.2

@@ -23,7 +23,6 @@ from hypbound import (
     compute_L,
     disk_density,
     distance_set,
-    kappa,
     log_distance_to_set,
     nearest_boundary,
     punctured_disk_density,
@@ -38,12 +37,12 @@ from conftest import battery_domain, boundary_cloud, mixed_domain
 
 class TestKappa:
     def test_value(self):
-        assert abs(kappa() - 5.7627) <= 1e-4
-        assert kappa() == 4.0 + math.log(3.0 + 2.0 * math.sqrt(2.0))
-        assert kappa() == 5.762747174039086
+        assert abs(KAPPA - 5.7627) <= 1e-4
+        assert KAPPA == 4.0 + math.log(3.0 + 2.0 * math.sqrt(2.0))
+        assert KAPPA == 5.762747174039086
 
     def test_five_log_two_combination(self):
-        val = 1.0 / (2.0 * math.sqrt(2.0) * (kappa() + 5.0 * math.log(2.0)))
+        val = 1.0 / (2.0 * math.sqrt(2.0) * (KAPPA + 5.0 * math.log(2.0)))
         assert abs(val - 0.03831) <= 1e-5
         assert val == 0.0383111056984657
 

@@ -366,6 +366,8 @@ COVERED_RING_SPEC = {
     "primitives": [{"type": "disk", "cx": 0, "cy": 0, "r": 0.05}],
     "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 60},
 }
+# 4/delta overflows
+TINY_DELTA_SPEC = {"primitives": [], "sequence": {"type": "explicit", "points": [[5e-324, 0]]}}
 # endpoints 1e-170 apart: the squared length underflows to 0
 SHORT_SEGMENT_SPEC = {
     "primitives": [{"type": "segment", "x1": 0.3, "y1": 0.0, "x2": 0.3, "y2": 1e-170}],
@@ -379,6 +381,10 @@ EXIT_CASES = {
     "not-in-domain": (battery_json(0.5, 0.5), ["bounds", "--z=0,0"], None, 1, "not in domain: "),
     "hypothesis": (HYP_SPEC, ["certify", "--z=0,0.3"], None, 1, "hypothesis failure: at index 0: "),
     "truncation": (battery_json(0.5, 0.5, count=4), ["bounds", "--z=0.001,0.0005"], None, 1, "truncation: "),
+    # delta / |z| overflows to inf; the annulus index never forms that quotient
+    "subnormal-z-bounds": (battery_json(0.5, 0.5), ["bounds", "--z=1e-310,0"], None, 1, "truncation: "),
+    "subnormal-z-certify": (battery_json(0.5, 0.5), ["certify", "--z=1e-320,1e-320"], None, 1, "truncation: "),
+    "tiny-delta": (TINY_DELTA_SPEC, ["certify", "--z=0.3,0.1"], None, 1, "hypothesis failure: at index 0: "),
     "starvation": (STARVED_SPEC, ["sweep", "--n", "4", "--out", "{tmp}/x.csv"], None, 1, "sampling failure: "),
     "certificate-build": (
         battery_json(0.5, 0.5), ["certify", "--z=0,0.3"], _broken_cap, 1, "certificate failure: "

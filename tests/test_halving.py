@@ -34,9 +34,10 @@ from hypbound import (
     verify_certificate,
 )
 from hypbound.bp import KAPPA, TWO_ROOT_TWO
-from hypbound.cli import sample_domain_point
+from hypbound.cli import main, sample_domain_point
+from hypbound.halving import _annulus_index, _case_cap
 
-from conftest import battery_domain
+from conftest import battery_domain, write_spec
 
 
 def seq_geometric(delta, ratio, count=60):
@@ -117,6 +118,27 @@ class TestConstants:
         for d in (0.125, 0.2, 0.4, 0.7, 0.9):
             assert constants(seq_geometric(d, 0.5, 5)).c == flat
 
+    @pytest.mark.parametrize("delta", [5e-324, 1e-310, 2.0**-1022])
+    def test_rejects_delta_where_four_over_delta_overflows(self, delta):
+        with pytest.raises(HypothesisViolated, match="^at index 0: "):
+            constants(seq_explicit(delta))
+        # the index names the largest point, wherever it sits
+        with pytest.raises(HypothesisViolated, match="^at index 1: "):
+            constants(seq_explicit(0.8 * delta, delta, 0.6 * delta))
+
+    def test_smallest_working_delta(self):
+        spec = DomainSpec.build([], seq_explicit(2.0**-1021))
+        consts = constants(spec.sequence)
+        assert 0.0 < consts.c == consts.branch_log4delta
+        cert = build_certificate(spec, consts, complex(0.3, 0.1))
+        assert cert.case_tag is CaseTag.FAR_FROM_E
+        assert verify_certificate(spec, consts, cert)
+
+    def test_validate_reports_overflowing_delta(self, tmp_path, capsys):
+        obj = {"primitives": [], "sequence": {"type": "explicit", "points": [[5e-324, 0]]}}
+        assert main(["validate", write_spec(tmp_path, obj)]) == 1
+        assert capsys.readouterr().out.startswith("halving check: FAIL at index 0: delta = ")
+
 
 class TestDyadicWitness:
     def test_exact_dyadic(self):
@@ -139,6 +161,21 @@ class TestDyadicWitness:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             dyadic_witness(seq_geometric(0.5, 0.5, 5), -1)
+
+
+class TestAnnulusIndex:
+    @pytest.mark.parametrize("delta,r", [
+        (0.5, 0.5), (0.5, 0.25), (0.5, 0.2500000001), (0.3, 1e-9),
+        (0.5, 1e-310), (0.5, 5e-324), (0.9, 5e-324), (2.0**-1021, 5e-324),
+    ])
+    def test_defining_inequalities(self, delta, r):
+        # delta / r overflows for the subnormal radii
+        n = _annulus_index(delta, r)
+        assert n >= 0
+        assert delta * 2.0 ** -(n + 1) < r <= delta * 2.0 ** -n
+
+    def test_smallest_subnormal(self):
+        assert _annulus_index(0.5, 5e-324) == 1073
 
 
 class TestLowerBound:
@@ -320,6 +357,33 @@ class TestVerifyCertificate:
         spec, consts = std
         bad = dataclasses.replace(good, zeta=0.25 + 0j)
         assert not verify_certificate(spec, consts, bad)
+
+
+A20 = 0.5 * 0.5**20
+# on the battery domain of delta 1/2, ratio 1/2
+CASE_POINTS = {
+    CaseTag.CIRCLE_NEAREST: 0.95 + 0j,
+    CaseTag.FAR_FROM_E: 0.3j,
+    CaseTag.MID_RANGE: complex(0.5, 0.1),
+    CaseTag.DEEP_SMALL_GAP: complex(A20, 0.05 * A20),
+    CaseTag.DEEP_COMPARABLE: complex(0.75 * A20, 0),
+}
+
+
+class TestCaseSplit:
+    @pytest.mark.parametrize("tag", list(CaseTag))
+    def test_relabelled_certificate_is_rejected(self, std, tag):
+        # every other tag, with its own cap, passes the inequality checks of
+        # some case; only the replayed case split tells them apart
+        spec, consts = std
+        cert = build_certificate(spec, consts, CASE_POINTS[tag])
+        assert cert.case_tag is tag
+        assert verify_certificate(spec, consts, cert)
+        for other in CaseTag:
+            if other is not tag:
+                cap = _case_cap(other, cert.z, cert.zeta, consts.delta)
+                bad = dataclasses.replace(cert, case_tag=other, case_log_cap=cap)
+                assert not verify_certificate(spec, consts, bad), other
 
 
 class TestToleranceOverride:

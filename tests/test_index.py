@@ -2,10 +2,10 @@
 
 Every indexed boundary query in `geometry` must return the floats that a
 scan over all primitives returns: membership, the nearest distance with its
-exact witness tuple, the boundary gap, the log gap of a pruned distance set,
-the first boundary hit along a path, and the ring point a DeepSmallGap
-certificate starts from.  The references below are written here, from the
-primitives' own methods, and do not touch the index.
+exact witness tuple, the boundary gap, the distance to E, the log gap of a
+pruned distance set, the first boundary hit along a path, and the ring point
+a DeepSmallGap certificate starts from.  The references below are written
+here, from the primitives' own methods, and do not touch the index.
 """
 
 import cmath
@@ -32,7 +32,7 @@ from hypbound import (
     log_distance_to_set,
     nearest_boundary,
 )
-from hypbound.geometry import TIE_REL, _piece_hits
+from hypbound.geometry import TIE_REL, _piece_hits, obstacle_gap
 from hypbound.halving import CertificateError, _interior_circle_point
 
 from conftest import boundary_points
@@ -198,6 +198,13 @@ def test_nearest_boundary(case):
 def test_boundary_gap(case):
     spec, z = case
     assert boundary_gap(spec, z) == linear_gap(spec, z)
+
+
+@given(spec_and_point())
+@INDEXED
+def test_obstacle_gap(case):
+    spec, z = case
+    assert obstacle_gap(spec, z) == min((prim.set_distance(z) for prim in spec.obstacles), default=math.inf)
 
 
 @given(spec_and_point(), st.floats(-12.0, 0.3))

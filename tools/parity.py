@@ -67,7 +67,11 @@ def invocations(fixtures: Path) -> list[list[str]]:
         ["sweep", dense, "--n", "15", "--seed", "2", "--out", "out.csv"],
         ["bounds", demo, "--z=0.35,0.1"],
         ["bounds", demo, "--z=0.35,0.1", "--csv"],
+        # with the two DeepComparable and the DeepSmallGap runs below, a
+        # certificate of every case tag: MidRange, FarFromE, CircleNearest
         ["certify", demo, "--z=0.35,0.1"],
+        ["certify", demo, "--z=0,-0.45"],
+        ["certify", demo, "--z=-0.8,0.1"],
         ["certify", spiral, "--z=0.001,0.0005"],
         ["certify", spiral, "--z=-0.02,0.013"],
         # DeepSmallGap: the arc-plus-radial walk starts on a dyadic ring; on
