@@ -116,6 +116,25 @@ class TestValidate:
         assert main(["validate", path]) == 0
         assert "primitives 0 and 1 nearly touch" in capsys.readouterr().out
 
+    def test_unit_circle_warning(self, tmp_path, capsys):
+        # a disk and a segment reaching within 5e-7 of the circle, and a
+        # control disk 2e-6 away
+        obj = {
+            "primitives": [
+                {"type": "disk", "cx": 0.9, "cy": 0.0, "r": 0.0999995},
+                {"type": "segment", "x1": -0.5, "y1": 0.0, "x2": -0.9999995, "y2": 0.0},
+                {"type": "disk", "cx": 0.0, "cy": -0.9, "r": 0.099998},
+            ],
+            "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 60},
+        }
+        path = write_spec(tmp_path, obj)
+        assert main(["validate", path]) == 0
+        out = capsys.readouterr().out
+        assert "primitive 0 nearly touches the unit circle" in out
+        assert "primitive 1 nearly touches the unit circle" in out
+        assert "primitive 2 nearly" not in out
+        assert "nearly touch;" not in out
+
     def test_origin_inside_disk_warning(self, tmp_path, capsys):
         obj = {
             "primitives": [{"type": "disk", "cx": 0.05, "cy": 0.0, "r": 0.2}],

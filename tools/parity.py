@@ -56,6 +56,15 @@ FIXTURES = {
             "points": [[0.5**(k + 1) * math.cos(0.3 * k), -0.5**(k + 1) * math.sin(0.3 * k)] for k in range(24)],
         },
     },
+    # a disk and a segment within 5e-7 of the unit circle, a disk 2e-6 away
+    "rim.json": {
+        "primitives": [
+            {"type": "disk", "cx": 0.9, "cy": 0.0, "r": 0.0999995},
+            {"type": "segment", "x1": -0.5, "y1": 0.0, "x2": -0.9999995, "y2": 0.0},
+            {"type": "disk", "cx": 0.0, "cy": -0.9, "r": 0.099998},
+        ],
+        "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 60},
+    },
 }
 
 
@@ -91,6 +100,7 @@ def invocations(fixtures: Path) -> list[list[str]]:
         ["validate", spiral],
         ["validate", str(fixtures / "violating.json")],
         ["validate", str(fixtures / "touching.json")],
+        ["validate", str(fixtures / "rim.json")],
         ["oracle-check", "--kind", "disk", "--n", "200", "--seed", "1"],
         ["oracle-check", "--kind", "punctured", "--n", "200", "--seed", "1"],
     ]
