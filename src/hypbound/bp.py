@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import DistanceSet, DomainSpec, NearestBoundary, _ratio_gap, distance_set, nearest_boundary
+from .geometry import DomainSpec, NearestBoundary, _ratio_gap, distance_set, nearest_boundary
 
 KAPPA = 4.0 + math.log(3.0 + 2.0 * math.sqrt(2.0))
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
@@ -38,7 +38,7 @@ class BPBounds:
     upper: float | None = None
 
 
-def log_distance_to_set(d: float, s: DistanceSet) -> tuple[float, float]:
+def log_distance_to_set(d: float, intervals: tuple[tuple[float, float], ...]) -> tuple[float, float]:
     """Log-scale distance from d > 0 to the achievable-distance set.
 
     Returns (value, witness_s): witness_s is the clamp of d into the
@@ -49,7 +49,7 @@ def log_distance_to_set(d: float, s: DistanceSet) -> tuple[float, float]:
         raise ValueError("d must be positive")
     best: float | None = None
     best_s = 0.0
-    for lo, hi in s.intervals:
+    for lo, hi in intervals:
         if hi <= 0.0:
             continue
         val = math.log(_ratio_gap(d, lo, hi))

@@ -14,13 +14,12 @@ import math
 import random
 import sys
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import combinations
 
 from . import bp, geometry, halving, oracles
 
 CSV_HEADER = "z_re,z_im,abs_z,d,L,bp_lower,bp_upper,thm1_bound,oracle,case,chain_ok"
-SLIT_HEADER = "delta,d,L_paper,L_literal,bp_upper_paper,bp_upper_literal,c_ceiling_paper"
 
 
 class RejectionStarvation(RuntimeError):
@@ -158,6 +157,9 @@ class SlitAuditRow:
         return ",".join(_fmt(v) for v in astuple(self))
 
 
+SLIT_HEADER = ",".join(f.name for f in fields(SlitAuditRow))
+
+
 def _c_ceiling(delta: float, L: float) -> float:
     """Ceiling on any admissible c from the upper bound at z = 1/2: |z| * upper."""
     return (bp.KAPPA + math.pi / 4.0) / ((1.0 - 2.0 * delta) * (bp.KAPPA + L))
@@ -237,7 +239,7 @@ def _validation_warnings(spec: geometry.DomainSpec):
         if geometry.primitive_clearance(p, q) < 1e-6:
             yield f"primitives {i} and {j} nearly touch; G may be disconnected"
     for i, p in fat:
-        if 1.0 - geometry.max_modulus(p) < 1e-6:
+        if 1.0 - p.distance_interval(0j)[1] < 1e-6:
             yield f"primitive {i} nearly touches the unit circle; G may be disconnected"
     for i, p in enumerate(spec.primitives):
         if isinstance(p, geometry.ObstacleDisk) and abs(p.center) < p.radius - 1e-12:

@@ -78,10 +78,6 @@ def _dot(a: complex, b: complex) -> float:
     return a.real * b.real + a.imag * b.imag
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -108,9 +104,6 @@ class UnitCircle:
         r = abs(a)
         return (abs(1.0 - r), 1.0 + r)
 
-    def rotated(self, rot: complex) -> "UnitCircle":
-        return self
-
 
 @dataclass(frozen=True)
 class SinglePoint:
@@ -119,7 +112,7 @@ class SinglePoint:
     p: complex
 
     def __post_init__(self):
-        if not _finite(self.p):
+        if not cmath.isfinite(self.p):
             raise SpecError("point has non-finite coordinates")
         if abs(self.p) >= 1.0:
             raise SpecError(f"point {self.p} is not inside the unit disk")
@@ -148,7 +141,7 @@ class Segment:
     q: complex
 
     def __post_init__(self):
-        if not (_finite(self.p) and _finite(self.q)):
+        if not (cmath.isfinite(self.p) and cmath.isfinite(self.q)):
             raise SpecError("segment has non-finite coordinates")
         # also rejects endpoints so close that the squared length underflows
         if _dot(self.q - self.p, self.q - self.p) == 0.0:
@@ -188,7 +181,7 @@ class ObstacleDisk:
     radius: float
 
     def __post_init__(self):
-        if not (_finite(self.center) and math.isfinite(self.radius)):
+        if not (cmath.isfinite(self.center) and math.isfinite(self.radius)):
             raise SpecError("disk has non-finite parameters")
         if self.radius <= 0.0:
             raise SpecError("disk radius must be positive")
@@ -246,7 +239,7 @@ class SequenceSpec:
         if not pts:
             raise SpecError("explicit sequence must be nonempty")
         for i, p in enumerate(pts):
-            if not _finite(p):
+            if not cmath.isfinite(p):
                 raise SpecError(f"sequence point {i} has non-finite coordinates")
             if abs(p) >= 1.0:
                 raise SpecError(f"sequence point {i} is not inside the unit disk")
@@ -421,7 +414,7 @@ class Membership(Enum):
 
 
 def contains(spec: DomainSpec, z: complex) -> Membership:
-    if not _finite(z):
+    if not cmath.isfinite(z):
         raise ValueError("query point has non-finite coordinates")
     if abs(z) >= 1.0:
         return Membership.ON_UNIT_CIRCLE_OR_OUTSIDE
@@ -479,18 +472,6 @@ def obstacle_gap(spec: DomainSpec, z: complex) -> float:
 # achievable-distance intervals
 
 
-@dataclass(frozen=True)
-class DistanceSet:
-    """Per-primitive intervals {|base - b| : b in P}, in primitive order.
-
-    Built without `near`, it holds one interval for each of spec.primitives;
-    built with `near=d`, it holds those of a subset (see distance_set).
-    """
-
-    base: complex
-    intervals: tuple[tuple[float, float], ...]
-
-
 def _ratio_gap(d: float, lo: float, hi: float) -> float:
     """e^v for the log gap v from d > 0 to [lo, hi], read against the clamp s
     of d into it; inf for an interval degenerate at 0."""
@@ -501,28 +482,24 @@ def _ratio_gap(d: float, lo: float, hi: float) -> float:
     return s / d if s > d else d / s
 
 
-def distance_set(spec: DomainSpec, a: complex, near: float | None = None) -> DistanceSet:
-    """Achievable-distance intervals from the boundary point a.
+def distance_set(spec: DomainSpec, a: complex, near: float | None = None) -> tuple[tuple[float, float], ...]:
+    """Achievable-distance intervals {|a - b| : b in P} from the boundary point a.
 
-    Without `near`, every primitive's interval: the linear reference.  With
-    `near=d` (d > 0, finite), only the intervals that can come as close to d
-    in log scale as the best one: a subset in primitive order that holds
-    every interval minimizing the log gap to d, so log_distance_to_set(d, .)
-    returns the same floats for both.  Both raise NotOnBoundary exactly when
-    a lies farther than GEOM_TOL from the boundary.
+    Without `near`, one interval for each of spec.primitives, in primitive
+    order: the linear reference.  With `near=d` (d > 0, finite), only the
+    intervals that can come as close to d in log scale as the best one: a
+    subset in primitive order that holds every interval minimizing the log
+    gap to d, so log_distance_to_set(d, .) returns the same floats for both.
+    Both raise NotOnBoundary exactly when a lies farther than GEOM_TOL from
+    the boundary.
     """
-    if near is None:
-        intervals = tuple(prim.distance_interval(a) for prim in spec.primitives)
-        # each lo is the same expression as that primitive's boundary_distance(a),
-        # so the smallest lo is boundary_gap(spec, a) bit for bit
-        if min(lo for lo, _ in intervals) > GEOM_TOL:
-            raise NotOnBoundary(f"point {a} is not on the boundary of G")
-        return DistanceSet(a, intervals)
-    if not 0.0 < near < math.inf:
+    if near is not None and not 0.0 < near < math.inf:
         raise ValueError("near must be a positive finite distance")
     if boundary_gap(spec, a) > GEOM_TOL:
         raise NotOnBoundary(f"point {a} is not on the boundary of G")
-    return DistanceSet(a, spec.point_index.window(a, near))
+    if near is None:
+        return tuple(prim.distance_interval(a) for prim in spec.primitives)
+    return spec.point_index.window(a, near)
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +542,6 @@ class ArcRadialPath:
     @property
     def pieces(self) -> tuple:
         return tuple(p for p in (self.arc, self.radial) if p is not None)
-
-    def start(self) -> complex:
-        return self.pieces[0].point(0.0)
-
-    def end(self) -> complex:
-        return self.pieces[-1].point(1.0)
 
     def point(self, t: float) -> complex:
         """Global parametrization over [0, 1]; used by sampling cross-checks."""
@@ -768,24 +739,11 @@ def primitive_clearance(a: Primitive, b: Primitive) -> float:
             b.set_distance(a.p),
             b.set_distance(a.q),
         )
-    if isinstance(a, Segment) and isinstance(b, ObstacleDisk):
+    if isinstance(a, (Segment, ObstacleDisk)) and isinstance(b, ObstacleDisk):
         return max(a.set_distance(b.center) - b.radius, 0.0)
     if isinstance(a, ObstacleDisk) and isinstance(b, Segment):
         return primitive_clearance(b, a)
-    if isinstance(a, ObstacleDisk) and isinstance(b, ObstacleDisk):
-        return max(abs(a.center - b.center) - a.radius - b.radius, 0.0)
     raise TypeError("clearance is defined for segment and disk obstacles")
-
-
-def max_modulus(prim: Primitive) -> float:
-    """Largest |z| over the obstacle; gauges clearance to the unit circle."""
-    if isinstance(prim, SinglePoint):
-        return abs(prim.p)
-    if isinstance(prim, Segment):
-        return max(abs(prim.p), abs(prim.q))
-    if isinstance(prim, ObstacleDisk):
-        return abs(prim.center) + prim.radius
-    raise TypeError("no modulus bound for the unit circle")
 
 
 # ---------------------------------------------------------------------------

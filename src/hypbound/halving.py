@@ -195,6 +195,15 @@ def _case_cap(tag: CaseTag, z: complex, zeta: complex, delta: float) -> float:
     return math.log(32.0)
 
 
+def _chain(tag: CaseTag, z: complex, zeta: complex, b: complex, delta: float) -> tuple[float, float, float]:
+    """(log_ratio, case_log_cap, implied_lower) for the partner point b:
+    |zeta - b| is one achievable distance from zeta, so log_ratio bounds L
+    above and implied_lower stays below the Beardon-Pommerenke (1978) bound."""
+    gap = abs(z - zeta)
+    log_ratio = abs(math.log(gap / abs(zeta - b)))
+    return log_ratio, _case_cap(tag, z, zeta, delta), 1.0 / (TWO_ROOT_TWO * gap * (KAPPA + log_ratio))
+
+
 def _circle_witness(spec: DomainSpec, nb: NearestBoundary) -> complex | None:
     """The first nearest witness on the unit circle, if any."""
     return next((w for i, w in nb.witnesses if isinstance(spec.primitives[i], UnitCircle)), None)
@@ -296,9 +305,7 @@ def build_certificate(
         target = seq.resolved_points[k]
         b = first_boundary_hit(spec, arc_then_radial(z, target))
 
-    log_ratio = abs(math.log(gap / abs(zeta - b)))
-    cap = _case_cap(tag, z, zeta, delta)
-    implied = 1.0 / (TWO_ROOT_TWO * gap * (KAPPA + log_ratio))
+    log_ratio, cap, implied = _chain(tag, z, zeta, b, delta)
     if not log_ratio <= cap + certificate_tolerance():
         raise CertificateError(f"log ratio {log_ratio} exceeds cap {cap} ({tag.value}) at z = {z}")
     if not implied >= consts.c / abs(z) - 1e-12:
@@ -330,9 +337,7 @@ def verify_certificate(spec: DomainSpec, consts: HalvingConstants, cert: Certifi
         return False
     if boundary_gap(spec, b) > HIT_TOL:
         return False
-    log_ratio = abs(math.log(gap / abs(zeta - b)))
-    cap = _case_cap(cert.case_tag, z, zeta, consts.delta)
-    implied = 1.0 / (TWO_ROOT_TWO * gap * (KAPPA + log_ratio))
+    log_ratio, cap, implied = _chain(cert.case_tag, z, zeta, b, consts.delta)
     return (
         abs(log_ratio - cert.log_ratio) <= tol
         and abs(cap - cert.case_log_cap) <= tol

@@ -192,7 +192,7 @@ def test_criterion_7_property_suites(tmp_path):
         # at a base point between circle nodes) below the 1e-4 tolerance
         for a in boundary_points(spec, 20, seed=29):
             ds = distance_set(spec, a)
-            for prim, (lo, hi) in zip(spec.primitives, ds.intervals):
+            for prim, (lo, hi) in zip(spec.primitives, ds):
                 dists = np.abs(primitive_samples(prim, 40_000) - a)
                 smin, smax = float(dists.min()), float(dists.max())
                 assert lo - 1e-9 <= smin and smax <= hi + 1e-9

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypbound import (
-    DistanceSet,
     DomainSpec,
     EmptySet,
     NotInDomain,
@@ -49,29 +48,29 @@ class TestKappa:
 
 class TestLogDistanceToSet:
     def test_inside_interval(self):
-        assert log_distance_to_set(0.5, DistanceSet(0j, ((0.4, 0.6),))) == (0.0, 0.5)
+        assert log_distance_to_set(0.5, ((0.4, 0.6),)) == (0.0, 0.5)
 
     def test_point_interval(self):
-        val, s = log_distance_to_set(0.5, DistanceSet(0j, ((1.0, 1.0),)))
+        val, s = log_distance_to_set(0.5, ((1.0, 1.0),))
         assert abs(val - math.log(2.0)) < 1e-15
         assert s == 1.0
 
     def test_two_intervals(self):
-        val, s = log_distance_to_set(0.4, DistanceSet(0j, ((0.0, 0.1), (0.9, 1.1))))
+        val, s = log_distance_to_set(0.4, ((0.0, 0.1), (0.9, 1.1)))
         assert abs(val - 0.8109302162163288) < 1e-15
         assert s == 0.9
 
     def test_degenerate_intervals_skipped(self):
-        val, s = log_distance_to_set(0.4, DistanceSet(0j, ((0.0, 0.0), (0.9, 1.1))))
+        val, s = log_distance_to_set(0.4, ((0.0, 0.0), (0.9, 1.1)))
         assert abs(val - math.log(0.9 / 0.4)) < 1e-15
 
     def test_empty_set(self):
         with pytest.raises(EmptySet):
-            log_distance_to_set(0.4, DistanceSet(0j, ((0.0, 0.0), (0.0, 0.0))))
+            log_distance_to_set(0.4, ((0.0, 0.0), (0.0, 0.0)))
 
     def test_rejects_nonpositive_d(self):
         with pytest.raises(ValueError):
-            log_distance_to_set(0.0, DistanceSet(0j, ((0.4, 0.6),)))
+            log_distance_to_set(0.0, ((0.4, 0.6),))
 
     @given(
         st.floats(1e-3, 3.0),
@@ -87,15 +86,14 @@ class TestLogDistanceToSet:
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force(self, d, raw):
         intervals = tuple((lo, lo + w) for lo, w in raw)
-        s_set = DistanceSet(0j, intervals)
         candidates = [
             min(max(d, lo), hi) for lo, hi in intervals if hi > 0.0
         ]
         if not candidates:
             with pytest.raises(EmptySet):
-                log_distance_to_set(d, s_set)
+                log_distance_to_set(d, intervals)
             return
-        val, s = log_distance_to_set(d, s_set)
+        val, s = log_distance_to_set(d, intervals)
         expected = min(abs(math.log(d / c)) for c in candidates)
         assert abs(val - expected) <= 1e-12
         assert abs(val - abs(math.log(d / s))) <= 1e-12
@@ -127,7 +125,7 @@ class TestComputeL:
             assert abs(r.L - abs(math.log(r.d / r.witness_s))) <= 1e-9
             ds = distance_set(std_domain, r.witness_a)
             assert any(
-                lo - 1e-12 <= r.witness_s <= hi + 1e-12 for lo, hi in ds.intervals if hi > 0
+                lo - 1e-12 <= r.witness_s <= hi + 1e-12 for lo, hi in ds if hi > 0
             )
 
     def test_rejects_outside(self, std_domain):

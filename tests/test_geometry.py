@@ -32,7 +32,7 @@ from hypbound import (
     nearest_boundary,
     rotate_domain,
 )
-from hypbound.geometry import GEOM_TOL, max_modulus, primitive_clearance
+from hypbound.geometry import GEOM_TOL, primitive_clearance
 
 from conftest import (
     battery_domain,
@@ -246,21 +246,21 @@ class TestDistanceSet:
     def test_origin_base(self):
         spec = DomainSpec.bare(include_origin=True)
         ds = distance_set(spec, 0j)
-        assert ds.intervals == ((0.0, 0.0), (1.0, 1.0))
+        assert ds == ((0.0, 0.0), (1.0, 1.0))
 
     def test_segment_endpoint_base(self):
         spec = DomainSpec.bare([Segment(0j, complex(0.1, 0))])
         ds = distance_set(spec, 0.1 + 0j)
-        assert ds.intervals[0] == (0.0, 0.1)
-        lo, hi = ds.intervals[1]
+        assert ds[0] == (0.0, 0.1)
+        lo, hi = ds[1]
         assert abs(lo - 0.9) < 1e-15 and abs(hi - 1.1) < 1e-15
 
     def test_disk_interval(self):
         spec = DomainSpec.bare([ObstacleDisk(complex(0.3, 0), 0.1)], include_origin=True)
         ds = distance_set(spec, 0j)
-        assert ds.intervals[0] == pytest.approx((0.2, 0.4), abs=1e-15)
-        assert ds.intervals[1] == (0.0, 0.0)
-        assert ds.intervals[2] == (1.0, 1.0)
+        assert ds[0] == pytest.approx((0.2, 0.4), abs=1e-15)
+        assert ds[1] == (0.0, 0.0)
+        assert ds[2] == (1.0, 1.0)
 
     def test_rejects_interior_base(self):
         spec = DomainSpec.bare(include_origin=True)
@@ -286,7 +286,7 @@ class TestDistanceSet:
             with pytest.raises(NotOnBoundary):
                 distance_set(spec, a)
         else:
-            assert distance_set(spec, a).base == a
+            assert len(distance_set(spec, a)) == len(spec.primitives)
 
     def test_brute_force_conformance(self):
         # each interval must bracket the sampled min/max up to the sampling
@@ -295,7 +295,7 @@ class TestDistanceSet:
         spec = mixed_domain()
         for a in boundary_points(spec, 100, seed=11):
             ds = distance_set(spec, a)
-            for prim, (lo, hi) in zip(spec.primitives, ds.intervals):
+            for prim, (lo, hi) in zip(spec.primitives, ds):
                 dists = np.abs(primitive_samples(prim, 40_000) - a)
                 smin, smax = float(dists.min()), float(dists.max())
                 assert lo - 1e-9 <= smin and smax <= hi + 1e-9
@@ -311,8 +311,8 @@ class TestPaths:
     def test_radial_path_shape(self):
         path = arc_then_radial(0.5 + 0j, 1.0 + 0j)
         assert path.arc is None
-        assert path.start() == 0.5 + 0j
-        assert path.end() == 1.0 + 0j
+        assert path.point(0.0) == 0.5 + 0j
+        assert path.point(1.0) == 1.0 + 0j
 
     def test_arc_then_radial_rejects_origin(self):
         with pytest.raises(MalformedPath):
@@ -323,8 +323,8 @@ class TestPaths:
     def test_arc_then_radial_shape(self):
         path = arc_then_radial(0.3 + 0j, 0.5j)
         assert path.arc is not None and path.radial is not None
-        assert abs(path.start() - 0.3) < 1e-15
-        assert abs(path.end() - 0.5j) < 1e-15
+        assert abs(path.point(0.0) - 0.3) < 1e-15
+        assert abs(path.point(1.0) - 0.5j) < 1e-15
         assert abs(path.arc.sweep - math.pi / 2.0) < 1e-15
 
     def test_arc_then_radial_takes_shorter_arc(self):
@@ -449,11 +449,10 @@ class TestClearances:
             primitive_clearance(SinglePoint(0.1 + 0j), SinglePoint(0.2 + 0j))
 
     def test_max_modulus(self):
-        assert max_modulus(SinglePoint(complex(0.3, 0.4))) == 0.5
-        assert max_modulus(Segment(0j, complex(0.6, 0))) == 0.6
-        assert max_modulus(ObstacleDisk(complex(0.5, 0), 0.2)) == 0.7
-        with pytest.raises(TypeError):
-            max_modulus(UnitCircle())
+        # validate gauges clearance to the unit circle by the largest distance from 0
+        assert SinglePoint(complex(0.3, 0.4)).distance_interval(0j)[1] == 0.5
+        assert Segment(0j, complex(0.6, 0)).distance_interval(0j)[1] == 0.6
+        assert ObstacleDisk(complex(0.5, 0), 0.2).distance_interval(0j)[1] == 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +488,7 @@ class TestRotation:
         for a in boundary_points(spec, 30, seed=23):
             ds0 = distance_set(spec, a)
             ds1 = distance_set(rspec, a * rot)
-            for (lo0, hi0), (lo1, hi1) in zip(ds0.intervals, ds1.intervals):
+            for (lo0, hi0), (lo1, hi1) in zip(ds0, ds1):
                 assert abs(lo0 - lo1) <= 1e-12
                 assert abs(hi0 - hi1) <= 1e-12
 

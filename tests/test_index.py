@@ -225,7 +225,7 @@ def test_pruned_distance_set(case, log_d):
             if isinstance(full, type) or isinstance(near, type):
                 assert near is full
                 continue
-            assert is_subsequence(near.intervals, full.intervals)
+            assert is_subsequence(near, full)
             assert log_distance_to_set(d, near) == log_distance_to_set(d, full)
 
 
