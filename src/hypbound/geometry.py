@@ -224,7 +224,7 @@ class SequenceSpec:
     @classmethod
     def geometric(cls, delta: float, ratio: float, count: int) -> "SequenceSpec":
         """Points delta * ratio**n on the positive real axis, n = 0..count-1."""
-        if not (isinstance(count, int) and count >= 1):
+        if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
             raise SpecError("count must be a positive integer")
         if not (0.0 < delta < 1.0):
             raise SpecError("delta must lie in (0, 1)")

@@ -184,8 +184,15 @@ class Certificate:
 
 
 def _case_cap(tag: CaseTag, z: complex, zeta: complex, delta: float) -> float:
+    """Largest log ratio each case admits.
+
+    CircleNearest: 0 lies on the boundary of G, so gap <= |z|, and c <=
+    1/(2 sqrt 2 (kappa + 5 ln 2)); any cap <= 5 ln 2 keeps 2 sqrt 2 c (kappa +
+    cap) <= 1 <= |z|/gap.  The chord partner b makes the log ratio 0 only in
+    exact arithmetic, and ln 2 leaves room for its rounding.
+    """
     if tag is CaseTag.CIRCLE_NEAREST:
-        return 0.0
+        return math.log(2.0)
     if tag is CaseTag.FAR_FROM_E:
         return math.log(4.0 / delta)
     if tag is CaseTag.MID_RANGE:

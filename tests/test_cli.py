@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from hypbound import DomainSpec, SequenceSpec, bp, constants, geometry, halving, load_domain, lower_bound
+from hypbound import DomainSpec, SequenceSpec, bp, constants, geometry, halving, load_domain, lower_bound, oracles
 from hypbound.cli import (
     CSV_HEADER,
     EXIT_CODES,
@@ -374,6 +374,14 @@ def _failed_verification(monkeypatch):
     monkeypatch.setattr(halving, "verify_certificate", lambda *args: False)
 
 
+def _infinite_floor(monkeypatch):
+    monkeypatch.setattr(halving, "lower_bound", lambda *args: math.inf)
+
+
+def _negative_oracle(monkeypatch):
+    monkeypatch.setattr(oracles, "oracle_density", lambda *args: -1.0)
+
+
 def _bad_tolerance(monkeypatch):
     monkeypatch.setenv("HYPBOUND_TOL", "abc")
 
@@ -410,6 +418,13 @@ EXIT_CASES = {
     ),
     "certificate-verify": (
         battery_json(0.5, 0.5), ["bounds", "--z=0,0.3"], _failed_verification, 1, "certificate failure: "
+    ),
+    "chain-violation": (
+        battery_json(0.5, 0.5), ["sweep", "--n", "3", "--out", "{tmp}/x.csv"], _infinite_floor, 1,
+        "chain violation: ",
+    ),
+    "sandwich-violation": (
+        None, ["oracle-check", "--kind", "disk", "--n", "3"], _negative_oracle, 1, "sandwich violation at z = "
     ),
     "covered-ring": (COVERED_RING_SPEC, ["certify", "--z=0.0655,0.001"], None, 1, "certificate failure: "),
     "spec": ({"primitives": [], "sequence": {}}, ["validate"], None, 2, "error: "),

@@ -49,6 +49,17 @@ def points_domain(*pts: complex) -> DomainSpec:
     return DomainSpec.bare([SinglePoint(p) for p in pts], include_origin=True)
 
 
+def assert_first_hit_matches_walk(spec: DomainSpec, start: complex, target: complex) -> None:
+    """The analytic first hit must agree with a brute-force walk of the path."""
+    path = arc_then_radial(start, target)
+    hit = first_boundary_hit(spec, path)
+    assert boundary_gap(spec, hit) <= 1e-10
+    ts = np.linspace(0.0, 1.0, 20_001)
+    gaps = [boundary_gap(spec, path.point(t)) for t in ts]
+    first = next(i for i, g in enumerate(gaps) if g <= 1e-4)
+    assert abs(path.point(ts[first]) - hit) <= 5e-3
+
+
 # ---------------------------------------------------------------------------
 # primitive validation
 
@@ -129,6 +140,8 @@ class TestSequenceSpec:
             SequenceSpec.geometric(0.5, 0.0, 4)
         with pytest.raises(SpecError):
             SequenceSpec.geometric(0.5, 0.5, 0)
+        with pytest.raises(SpecError):
+            SequenceSpec.geometric(0.5, 0.5, True)
 
     def test_explicit_validation(self):
         with pytest.raises(SpecError):
@@ -393,15 +406,23 @@ class TestFirstBoundaryHit:
         ],
     )
     def test_against_dense_path_sampling(self, obstacles, start, target):
-        # the analytic first hit must agree with a brute-force walk of the path
-        spec = points_domain(*obstacles)
-        path = arc_then_radial(start, target)
-        hit = first_boundary_hit(spec, path)
-        assert boundary_gap(spec, hit) <= 1e-10
-        ts = np.linspace(0.0, 1.0, 20_001)
-        gaps = [boundary_gap(spec, path.point(t)) for t in ts]
-        first = next(i for i, g in enumerate(gaps) if g <= 1e-4)
-        assert abs(path.point(ts[first]) - hit) <= 5e-3
+        assert_first_hit_matches_walk(points_domain(*obstacles), start, target)
+
+    # arcs that first meet a disk or the unit circle; linear_first_hit in
+    # test_index shares _piece_hits, so only a walk checks these formulas
+    ARC_HITS = {
+        "disk": (ObstacleDisk(0.4j, 0.1), 0.4 + 0j, cmath.rect(0.4, 2.5)),
+        "disk-negative-sweep": (ObstacleDisk(-0.4j, 0.1), 0.4 + 0j, cmath.rect(0.4, -2.5)),
+        "disk-at-start": (ObstacleDisk(0j, 0.3), 0.3 + 0j, 0.3j),
+        "unit-circle": (None, complex(1.0 - 1e-11, 0.0), cmath.rect(1.0 - 1e-11, 1.0)),
+    }
+
+    @pytest.mark.parametrize("name", list(ARC_HITS))
+    def test_arc_hits_against_dense_path_sampling(self, name):
+        disk, start, target = self.ARC_HITS[name]
+        spec = DomainSpec.bare([disk] if disk is not None else [])
+        assert arc_then_radial(start, target).arc is not None
+        assert_first_hit_matches_walk(spec, start, target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Halving-sequence hypothesis gate, the explicit constant and its branches,
 dyadic annulus witnesses, and the per-point certificate machinery."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -11,12 +12,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hypbound
 from hypbound import (
     CaseTag,
     DomainSpec,
     HypothesisViolated,
+    Membership,
     NotInDomain,
     SequenceSpec,
     TruncationExceeded,
@@ -28,7 +32,9 @@ from hypbound import (
     certificate_tolerance,
     check_halving,
     constants,
+    contains,
     dyadic_witness,
+    load_domain,
     lower_bound,
     nearest_boundary,
     verify_certificate,
@@ -215,7 +221,7 @@ class TestCertificateCases:
         assert cert.case_tag is CaseTag.CIRCLE_NEAREST
         assert cert.zeta == 1.0 + 0j
         assert cert.log_ratio <= 1e-12
-        assert cert.case_log_cap == 0.0
+        assert cert.case_log_cap == math.log(2.0)
         ref = 1.0 / (TWO_ROOT_TWO * 0.05 * KAPPA)
         assert abs(cert.implied_lower - ref) <= 1e-12 * ref
         assert verify_certificate(spec, consts, cert)
@@ -510,6 +516,30 @@ class TestCertificateProperties:
                 cert = build_certificate(spec, consts, z)
                 assert cert.log_ratio <= cert.case_log_cap + 1e-9
                 assert verify_certificate(spec, consts, cert)
+
+
+SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
+BENCH_DOMAINS = {}
+
+
+def bench_domain(name):
+    if name not in BENCH_DOMAINS:
+        spec = load_domain(str(SPECS / name))
+        BENCH_DOMAINS[name] = spec, constants(spec.sequence)
+    return BENCH_DOMAINS[name]
+
+
+@pytest.mark.parametrize("name", ["demo.json", "spiral.json"])
+@given(theta=st.floats(-math.pi, math.pi), depth=st.floats(6.0, 16.0))
+@settings(max_examples=150, deadline=None)
+def test_points_near_the_unit_circle_certify(name, theta, depth):
+    # 1 - |z| from 1e-16 to 1e-6: the chord partner b cannot make the log
+    # ratio exactly 0 there, so the CircleNearest cap must leave room
+    spec, consts = bench_domain(name)
+    z = cmath.rect(1.0 - 10.0**-depth, theta)
+    assume(contains(spec, z) is Membership.IN_G)
+    cert = build_certificate(spec, consts, z)
+    assert verify_certificate(spec, consts, cert)
 
 
 class TestInvariantsUnderOptimize:

@@ -281,6 +281,8 @@ def spec_and_ring(draw):
             extras.append(ObstacleDisk(cmath.rect(radius, draw(angles)), radius * draw(st.floats(0.01, 0.9))))
         elif extra == "segment":
             f = draw(st.floats(0.01, 0.9))
+            # Segment rejects endpoints whose squared distance underflows
+            assume(radius * f > 1e-150)
             extras.append(Segment(cmath.rect(radius * (1.0 - f), draw(angles)), cmath.rect(radius * (1.0 + f), draw(angles))))
         else:
             extras.append(ObstacleDisk(0j, radius * draw(st.floats(1.01, 1.5))))

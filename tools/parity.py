@@ -93,7 +93,8 @@ def invocations(fixtures: Path) -> list[list[str]]:
         ["bounds", dense, "--z=-0.05,-0.3"],
         ["certify", dense, "--z=0.0031,0.0002"],
         ["certify", dense, "--z=-0.004,0.003"],
-        # within about 1e-8 of the unit circle: exit 1, certificate failure
+        # within about 1e-8 of the unit circle: the log ratio of the rounded
+        # chord partner is about 1e-9, inside the CircleNearest cap ln 2
         ["certify", demo, "--z=0.94723317263975,-0.32054529899594186"],
         ["slit-audit", "--deltas", "0.2,0.1,0.01,0.001", "--out", "out.csv"],
         ["validate", demo],
