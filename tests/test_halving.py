@@ -3,6 +3,7 @@ dyadic annulus witnesses, and the per-point certificate machinery."""
 
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -519,14 +520,12 @@ class TestCertificateProperties:
 
 
 SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
-BENCH_DOMAINS = {}
 
 
+@functools.cache
 def bench_domain(name):
-    if name not in BENCH_DOMAINS:
-        spec = load_domain(str(SPECS / name))
-        BENCH_DOMAINS[name] = spec, constants(spec.sequence)
-    return BENCH_DOMAINS[name]
+    spec = load_domain(str(SPECS / name))
+    return spec, constants(spec.sequence)
 
 
 @pytest.mark.parametrize("name", ["demo.json", "spiral.json"])
