@@ -91,6 +91,8 @@ def invocations(fixtures: Path) -> list[list[str]]:
         # 369 witnesses (FarFromE), DeepSmallGap, and DeepComparable with a path hit
         ["bounds", dense, "--z=-0.2,0.1"],
         ["bounds", dense, "--z=-0.05,-0.3"],
+        # the longest witness list the verifier reads: zeta = 0 among the 369
+        ["certify", dense, "--z=-0.05,-0.3"],
         ["certify", dense, "--z=0.0031,0.0002"],
         ["certify", dense, "--z=-0.004,0.003"],
         # within about 1e-8 of the unit circle: the log ratio of the rounded
