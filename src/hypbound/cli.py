@@ -103,10 +103,9 @@ def sample_domain_points(
 ) -> Iterator[complex]:
     """n uniform points of G with |z| >= r_min, by rejection.
 
-    Point i draws from its own stream random.Random(seed + i), so one point
-    can be drawn alone (sample_domain_point).  Sampling stops with
-    RejectionStarvation once acceptance is below 1% after at least 100000
-    draws.
+    Point i draws from its own stream random.Random(seed + i).  Sampling
+    stops with RejectionStarvation once acceptance is below 1% after at
+    least 100000 draws.
     """
     trials = 0
     for i in range(n):
@@ -121,13 +120,6 @@ def sample_domain_points(
                     "acceptance rate below 1% over 100000 trials; degenerate domain spec"
                 )
         yield z
-
-
-def sample_domain_point(
-    spec: geometry.DomainSpec, seed: int, index: int, r_min: float = 0.0
-) -> complex:
-    """Point `index` of the stream that sample_domain_points draws for `seed`."""
-    return next(sample_domain_points(spec, seed + index, 1, r_min))
 
 
 def sweep_rows(

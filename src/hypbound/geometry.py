@@ -305,10 +305,6 @@ class DomainSpec:
         return self.primitives[:-1]
 
     @cached_property
-    def origin_registered(self) -> bool:
-        return any(isinstance(p, SinglePoint) and p.p == 0 for p in self.obstacles)
-
-    @cached_property
     def point_index(self) -> "PointIndex":
         """Built on the first boundary query, never at load time."""
         return PointIndex(self.primitives)
@@ -341,13 +337,15 @@ class PointIndex:
         pad = abs(hi) * _SLACK
         return self.slots[bisect_left(self.moduli, lo - pad) : bisect_right(self.moduli, hi + pad)]
 
-    def scan(self, z: complex, bound: float, tie: float) -> list[tuple[float, int, complex]]:
-        """(|z - p|, index, p) for every point p that can lie within d(1 + tie) of z.
+    def scan(self, z: complex, bound: float, tie: float) -> tuple[float, list[tuple[float, int, complex]]]:
+        """(d, hits): d is the smaller of bound and the distance from z to the
+        nearest point, and hits holds (|z - p|, index, p) for every point p
+        that can lie within d(1 + tie) of z.
 
-        d is the smallest distance from z to any point, or bound when that is
-        smaller.  The scan runs outward from |z| in both directions, lowers
-        bound to each nearer distance it meets, and stops once ||z| - |p||
-        exceeds bound(1 + tie), widened by _SLACK * (that + |z|).
+        The scan runs outward from |z| in both directions, lowers bound to
+        each nearer distance it meets, and stops once ||z| - |p|| exceeds
+        bound(1 + tie), widened by _SLACK * (that + |z|); the bound it ends
+        with is d.
         """
         r = abs(z)
         ms, pts, slots = self.moduli, self.points, self.slots
@@ -362,11 +360,7 @@ class PointIndex:
                 out.append((dist, slots[j], pts[j]))
                 if dist < bound:
                     bound = dist
-        return out
-
-    def nearest(self, z: complex, bound: float) -> float:
-        """The smaller of bound and the distance from z to the nearest point."""
-        return min([bound] + [dist for dist, _, _ in self.scan(z, bound, 0.0)])
+        return bound, out
 
     def window(self, a: complex, d: float) -> tuple[tuple[float, float], ...]:
         """The intervals of distance_set(spec, a, near=d), in primitive order.
@@ -400,7 +394,7 @@ def rotate_domain(spec: DomainSpec, theta: float) -> DomainSpec:
     if spec.sequence is not None:
         seq = SequenceSpec.explicit(p * rot for p in spec.sequence.resolved_points)
         return DomainSpec.build(user, seq)
-    return DomainSpec.bare(user, include_origin=spec.origin_registered)
+    return DomainSpec.bare(user, include_origin=0j in spec.point_index.point_set)
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +438,14 @@ def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
         raise NotInDomain(f"point {z} is not in G")
     idx = spec.point_index
     realized = [(abs(z - w), i, w) for i, prim in idx.others for w in (prim.nearest_point(z),)]
-    realized += idx.scan(z, min(dist for dist, _, _ in realized), TIE_REL)
-    d = min(dist for dist, _, _ in realized)
+    d, hits = idx.scan(z, min(dist for dist, _, _ in realized), TIE_REL)
+    realized += hits
     cutoff = d * (1.0 + TIE_REL)
     witnesses = sorted((i, w) for dist, i, w in realized if dist <= cutoff)
     for i, w in witnesses:
         if spec.primitives[i].boundary_distance(w) > GEOM_TOL:
             raise RuntimeError(f"witness {w} of primitive {i} is off the boundary")
-    if spec.origin_registered and d > abs(z):
+    if 0j in idx.point_set and d > abs(z):
         raise RuntimeError(f"boundary distance {d} exceeds |z| = {abs(z)} with 0 on the boundary")
     return NearestBoundary(z, d, tuple(witnesses))
 
@@ -459,13 +453,13 @@ def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
 def boundary_gap(spec: DomainSpec, z: complex) -> float:
     """Distance from z to the union of boundary curves of the primitives."""
     idx = spec.point_index
-    return idx.nearest(z, min(prim.boundary_distance(z) for _, prim in idx.others))
+    return idx.scan(z, min(prim.boundary_distance(z) for _, prim in idx.others), 0.0)[0]
 
 
 def obstacle_gap(spec: DomainSpec, z: complex) -> float:
     """Distance from z to E, the union of the obstacles; inf when there is none."""
     idx = spec.point_index
-    return idx.nearest(z, min((prim.set_distance(z) for prim in idx.shapes), default=math.inf))
+    return idx.scan(z, min((prim.set_distance(z) for prim in idx.shapes), default=math.inf), 0.0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,7 @@ from enum import Enum
 
 from .bp import KAPPA, TWO_ROOT_TWO
 from .geometry import (
-    GEOM_TOL,
     HIT_TOL,
-    TIE_REL,
     DomainSpec,
     NearestBoundary,
     SequenceSpec,
@@ -323,9 +321,11 @@ def build_certificate(
 def verify_certificate(spec: DomainSpec, consts: HalvingConstants, cert: Certificate) -> bool:
     """Re-check every certificate invariant from scratch.
 
-    Recomputes membership, the boundary distance, the case tag, the log
-    ratio, the case cap and the implied bound; returns False instead of
-    raising, so tampered certificates are rejected rather than exploding.
+    Recomputes membership and the nearest boundary of z, and accepts zeta
+    only if that pass lists it, as the exact float, among the nearest
+    witnesses; then recomputes the case tag, the log ratio, the case cap and
+    the implied bound.  Returns False instead of raising, so tampered
+    certificates are rejected rather than exploding.
     """
     tol = certificate_tolerance()
     z, zeta, b = cert.z, cert.zeta, cert.b
@@ -333,14 +333,11 @@ def verify_certificate(spec: DomainSpec, consts: HalvingConstants, cert: Certifi
         nb = nearest_boundary(spec, z)
     except ValueError:
         return False
+    # a witness can round onto z itself, next to a disk narrower than an ulp of z
+    if b == zeta or zeta == z or zeta not in [w for _, w in nb.witnesses]:
+        return False
     gap = abs(z - zeta)
-    if gap <= 0.0 or b == zeta:
-        return False
-    if not nb.d * (1.0 - TIE_REL) <= gap <= nb.d * (1.0 + TIE_REL):
-        return False
     if _case_tag(_circle_witness(spec, nb), z, gap, consts.delta) is not cert.case_tag:
-        return False
-    if boundary_gap(spec, zeta) > GEOM_TOL:
         return False
     if boundary_gap(spec, b) > HIT_TOL:
         return False

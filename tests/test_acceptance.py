@@ -25,7 +25,7 @@ from hypbound import (
     verify_certificate,
 )
 from hypbound.bp import KAPPA
-from hypbound.cli import main, sample_domain_point, slit_audit_row
+from hypbound.cli import main, sample_domain_points, slit_audit_row
 
 from conftest import (
     battery_domain,
@@ -103,8 +103,7 @@ def test_criterion_4_certificates():
             spec = battery_domain(delta, ratio)
             consts = constants(spec.sequence)
             r_min = 10.0 * delta * ratio**59
-            for i in range(300):
-                z = sample_domain_point(spec, 600 + 37 * di, i, r_min=r_min)
+            for z in sample_domain_points(spec, 600 + 37 * di, 300, r_min):
                 cert = build_certificate(spec, consts, z)
                 assert verify_certificate(spec, consts, cert)
                 assert cert.log_ratio <= cert.case_log_cap + 1e-9

@@ -28,7 +28,7 @@ from hypbound import (
     rotate_domain,
 )
 from hypbound.bp import KAPPA, TWO_ROOT_TWO
-from hypbound.cli import sample_domain_point
+from hypbound.cli import sample_domain_points
 from hypbound.oracles import OracleDomain, oracle_density, oracle_fixture
 
 from conftest import battery_domain, boundary_cloud, mixed_domain
@@ -118,8 +118,7 @@ class TestComputeL:
 
     def test_witness_invariants(self, std_domain):
         rng = random.Random(17)
-        for i in range(100):
-            z = sample_domain_point(std_domain, 1000, i)
+        for z in sample_domain_points(std_domain, 1000, 100):
             r = compute_L(std_domain, z)
             assert abs(z - r.witness_a) <= r.d * (1.0 + 2e-9)
             assert abs(r.L - abs(math.log(r.d / r.witness_s))) <= 1e-9
@@ -158,8 +157,7 @@ class TestBPBounds:
         assert r.lower <= lam <= r.upper
 
     def test_algebraic_identities(self, std_domain):
-        for i in range(50):
-            z = sample_domain_point(std_domain, 2000, i)
+        for z in sample_domain_points(std_domain, 2000, 50):
             r = bp_bounds(std_domain, z)
             assert abs(r.lower * (TWO_ROOT_TWO * r.d * (KAPPA + r.L)) - 1.0) <= 1e-14
             assert abs(r.upper * r.d * (KAPPA + r.L) / (KAPPA + math.pi / 4.0) - 1.0) <= 1e-14
@@ -168,8 +166,7 @@ class TestBPBounds:
     def test_oracle_sandwich_random(self):
         for kind in OracleDomain:
             spec = oracle_fixture(kind)
-            for i in range(200):
-                z = sample_domain_point(spec, 300, i)
+            for z in sample_domain_points(spec, 300, 200):
                 r = bp_bounds(spec, z)
                 lam = oracle_density(kind, z)
                 assert r.lower <= lam <= r.upper

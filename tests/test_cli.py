@@ -18,7 +18,6 @@ from hypbound.cli import (
     RejectionStarvation,
     main,
     point_row,
-    sample_domain_point,
     sample_domain_points,
     slit_audit_row,
 )
@@ -261,8 +260,7 @@ class TestSweep:
         out = tmp_path / "rows.csv"
         assert main(["sweep", spec_path, "--n", "10", "--seed", "11", "--out", str(out)]) == 0
         spec = load_domain(spec_path)
-        for i, row in enumerate(read_csv(str(out))[1:]):
-            z = sample_domain_point(spec, 11, i)
+        for row, z in zip(read_csv(str(out))[1:], sample_domain_points(spec, 11, 10), strict=True):
             assert float(row[0]) == z.real
             assert float(row[1]) == z.imag
 

@@ -120,7 +120,7 @@ class TestPrimitiveValidation:
         assert spec.n_user == 0
         assert isinstance(spec.primitives[-1], UnitCircle)
         assert spec.primitives[-2] == SinglePoint(0j)
-        assert spec.origin_registered
+        assert 0j in spec.point_index.point_set
         assert [p.p for p in spec.primitives[:3]] == [0.5, 0.25, 0.125]
 
 

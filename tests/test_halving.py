@@ -41,7 +41,7 @@ from hypbound import (
     verify_certificate,
 )
 from hypbound.bp import KAPPA, TWO_ROOT_TWO
-from hypbound.cli import main, sample_domain_point
+from hypbound.cli import main, sample_domain_points
 from hypbound.halving import _annulus_index, _case_cap
 
 from conftest import battery_domain, write_spec
@@ -476,8 +476,7 @@ class TestCertificateProperties:
     def test_builder_never_falls_through(self, std):
         spec, consts = std
         seen = set()
-        for i in range(10_000):
-            z = sample_domain_point(spec, 4000, i)
+        for i, z in enumerate(sample_domain_points(spec, 4000, 10_000)):
             cert = build_certificate(spec, consts, z)
             seen.add(cert.case_tag)
             assert dispatch_conditions_hold(cert, consts.delta)
@@ -492,8 +491,7 @@ class TestCertificateProperties:
         consts = constants(spec.sequence)
         floor = min(abs(p) for p in spec.sequence.resolved_points)
         rng_base = int(1e6 * delta)
-        for i in range(400):
-            z = sample_domain_point(spec, rng_base, i, r_min=10.0 * floor)
+        for i, z in enumerate(sample_domain_points(spec, rng_base, 400, 10.0 * floor)):
             cert = build_certificate(spec, consts, z)
             gap = abs(z - cert.zeta)
             assert TWO_ROOT_TWO * consts.c * (KAPPA + cert.log_ratio) <= abs(z) / gap + 1e-9

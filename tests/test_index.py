@@ -288,7 +288,7 @@ def spec_and_ring(draw):
             extras.append(ObstacleDisk(0j, radius * draw(st.floats(1.01, 1.5))))
     user = list(spec.primitives[: spec.n_user]) + extras
     if spec.sequence is None:
-        return DomainSpec.bare(user, include_origin=spec.origin_registered), radius
+        return DomainSpec.bare(user, include_origin=0j in spec.point_index.point_set), radius
     return DomainSpec.build(user, spec.sequence), radius
 
 
