@@ -230,6 +230,9 @@ class SequenceSpec:
             raise SpecError("delta must lie in (0, 1)")
         if not (0.0 < ratio < 1.0):
             raise SpecError("ratio must lie in (0, 1)")
+        # the points never increase, so the last is 0 exactly when any one is
+        if delta * ratio ** (count - 1) == 0.0:
+            raise SpecError(f"count {count} is too large: point {count - 1} underflows to 0")
         pts = tuple(complex(delta * ratio**n, 0.0) for n in range(count))
         return cls(pts)
 

@@ -429,6 +429,8 @@ EXIT_CASES = {
     "missing-file": (None, ["validate", "{tmp}/nope.json"], None, 2, "error: "),
     "non-utf8": (b"\xff\xfe{}", ["validate"], None, 2, "error: "),
     "deep-nesting": (b"[" * 100_000 + b"]" * 100_000, ["validate"], None, 2, "error: "),
+    # rejected at load, before two million points are built
+    "underflowing-sequence": (battery_json(0.5, 0.5, count=2_000_000), ["validate"], None, 2, "error: "),
     "short-segment": (SHORT_SEGMENT_SPEC, ["bounds", "--z=0.35,0.1"], None, 2, "error: "),
     "short-slit": (None, ["slit-audit", "--deltas", "1e-300", "--out", "{tmp}/x.csv"], None, 2, "error: "),
     "bad-delta": (None, ["slit-audit", "--deltas", "0.3", "--out", "{tmp}/x.csv"], None, 2, "error: "),

@@ -32,7 +32,7 @@ from hypbound import (
     nearest_boundary,
     rotate_domain,
 )
-from hypbound.geometry import GEOM_TOL, primitive_clearance
+from hypbound.geometry import GEOM_TOL, ArcPiece, _piece_hits, primitive_clearance
 
 from conftest import (
     battery_domain,
@@ -142,6 +142,10 @@ class TestSequenceSpec:
             SequenceSpec.geometric(0.5, 0.5, 0)
         with pytest.raises(SpecError):
             SequenceSpec.geometric(0.5, 0.5, True)
+        # 0.5 * 0.5**1074 = 2^-1075 rounds to 0; 2^-1074 is the smallest subnormal
+        with pytest.raises(SpecError, match="underflows"):
+            SequenceSpec.geometric(0.5, 0.5, 1075)
+        assert SequenceSpec.geometric(0.5, 0.5, 1074).floor == 5e-324
 
     def test_explicit_validation(self):
         with pytest.raises(SpecError):
@@ -424,6 +428,12 @@ class TestFirstBoundaryHit:
         assert arc_then_radial(start, target).arc is not None
         assert_first_hit_matches_walk(spec, start, target)
 
+    @pytest.mark.parametrize("radius,hits", [(0.2, [0.0]), (0.1, [])])
+    def test_arc_too_near_the_origin_for_the_disk_formula(self, radius, hits):
+        # 2 * 0.2 * 5e-324 rounds to 0, so only the disk's distance from the
+        # origin decides; the circle of radius 0.2 about 0.2 passes through it
+        assert _piece_hits(ArcPiece(5e-324, 0.0, 1.0), ObstacleDisk(0.2 + 0j, radius)) == hits
+
 
 # ---------------------------------------------------------------------------
 # clearances
@@ -482,14 +492,21 @@ class TestClearances:
 
 class TestRotation:
     @given(
+        st.sampled_from([
+            mixed_domain(),
+            DomainSpec.bare(
+                [SinglePoint(complex(0.3, -0.2)), Segment(complex(-0.5, 0.1), complex(-0.2, 0.4))],
+                include_origin=True,
+            ),
+        ]),
         st.floats(-math.pi, math.pi, allow_nan=False),
         st.floats(-0.95, 0.95),
         st.floats(-0.95, 0.95),
     )
     @settings(max_examples=60, deadline=None)
-    def test_membership_and_distance(self, theta, x, y):
-        spec = mixed_domain()
+    def test_membership_and_distance(self, spec, theta, x, y):
         rspec = rotate_domain(spec, theta)
+        assert (0j in rspec.point_index.point_set) is (0j in spec.point_index.point_set)
         z = complex(x, y)
         rz = z * cmath.rect(1.0, theta)
         # membership within an ulp of a boundary curve cannot survive the

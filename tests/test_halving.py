@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 import hypbound
 from hypbound import (
     CaseTag,
+    Certificate,
     DomainSpec,
     HypothesisViolated,
     Membership,
     NotInDomain,
+    ObstacleDisk,
     SequenceSpec,
     TruncationExceeded,
     ZeroArgument,
@@ -174,6 +176,8 @@ class TestAnnulusIndex:
     @pytest.mark.parametrize("delta,r", [
         (0.5, 0.5), (0.5, 0.25), (0.5, 0.2500000001), (0.3, 1e-9),
         (0.5, 1e-310), (0.5, 5e-324), (0.9, 5e-324), (2.0**-1021, 5e-324),
+        # log2 puts this just above 2^-5 at n = 4; the downward fix-up gives 3
+        (0.5, 0.03125000000000001),
     ])
     def test_defining_inequalities(self, delta, r):
         # delta / r overflows for the subnormal radii
@@ -365,6 +369,32 @@ class TestVerifyCertificate:
         bad = dataclasses.replace(good, zeta=0.25 + 0j)
         assert not verify_certificate(spec, consts, bad)
 
+    @pytest.mark.parametrize("tag", [CaseTag.MID_RANGE, CaseTag.FAR_FROM_E, CaseTag.DEEP_COMPARABLE])
+    def test_detects_zeta_off_boundary(self, std, tag):
+        # rotating zeta about z keeps |z - zeta| = d but takes zeta off the boundary
+        spec, consts = std
+        cert = build_certificate(spec, consts, CASE_POINTS[tag])
+        zeta = cert.z + (cert.zeta - cert.z) * cmath.rect(1.0, 1e-3)
+        assert not verify_certificate(spec, consts, dataclasses.replace(cert, zeta=zeta))
+
+    def test_detects_zeta_one_ulp_off_a_witness(self):
+        # zeta = 0 ties 368 other nearest witnesses; one ulp away it passes
+        # every tolerance, yet it is not a witness
+        spec, consts = bench_domain("dense.json")
+        cert = build_certificate(spec, consts, complex(-0.05, -0.3))
+        assert cert.zeta == 0 and verify_certificate(spec, consts, cert)
+        bad = dataclasses.replace(cert, zeta=complex(math.nextafter(0.0, 1.0), 0.0))
+        assert not verify_certificate(spec, consts, bad)
+
+    def test_rejects_zeta_at_z(self):
+        # next to a disk narrower than an ulp of z the nearest witness rounds
+        # onto z itself; the verifier rejects rather than taking log(0)
+        spec = DomainSpec.build([ObstacleDisk(0.5 + 0j, 1e-16)], seq_geometric(0.25, 0.5, 40))
+        z = complex(math.nextafter(0.5, 1.0), 0.0)
+        assert nearest_boundary(spec, z).witnesses == ((0, z),)
+        cert = Certificate(CaseTag.MID_RANGE, z, z, 0j, 0.0, 0.0, 1.0)
+        assert not verify_certificate(spec, constants(spec.sequence), cert)
+
 
 A20 = 0.5 * 0.5**20
 # on the battery domain of delta 1/2, ratio 1/2
@@ -438,6 +468,8 @@ class TestSerialization:
     def test_rejects_malformed(self):
         with pytest.raises((KeyError, ValueError)):
             certificate_from_dict({"case": "FarFromE"})
+        with pytest.raises(ValueError, match="field 'z' must be"):
+            certificate_from_dict({"case": "FarFromE", "z": [0.3]})
         with pytest.raises(ValueError):
             certificate_from_dict(
                 {
