@@ -395,7 +395,7 @@ EXIT_CODES = (
     ((halving.TruncationExceeded,), "truncation", 1),
     ((RejectionStarvation,), "sampling failure", 1),
     ((halving.CertificateError,), "certificate failure", 1),
-    ((geometry.SpecError, OSError, BadDelta, UsageError, halving.ToleranceError), "error", 2),
+    ((geometry.SpecError, OSError, BadDelta, UsageError), "error", 2),
 )
 _MAPPED = tuple(t for types, _, _ in EXIT_CODES for t in types)
 

@@ -435,13 +435,18 @@ def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
 
     Witnesses are (primitive index, realizing point) pairs, in primitive
     order, listing every primitive whose distance ties the minimum within
-    relative 1e-9.
+    relative 1e-9.  Raises NotInDomain when z is not in G or lies within
+    rounding of its boundary.
     """
     if contains(spec, z) is not Membership.IN_G:
         raise NotInDomain(f"point {z} is not in G")
     idx = spec.point_index
     realized = [(abs(z - w), i, w) for i, prim in idx.others for w in (prim.nearest_point(z),)]
     d, hits = idx.scan(z, min(dist for dist, _, _ in realized), TIE_REL)
+    if d == 0.0:
+        # a witness rounded onto z (a disk narrower than an ulp of z): z lies
+        # within rounding of the boundary, with no positive distance to bound
+        raise NotInDomain(f"point {z} is within rounding of the boundary")
     realized += hits
     cutoff = d * (1.0 + TIE_REL)
     witnesses = sorted((i, w) for dist, i, w in realized if dist <= cutoff)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,7 +39,8 @@ from .geometry import (
     obstacle_gap,
 )
 
-DEFAULT_CERT_TOL = 1e-9
+# slack of the certificate inequality checks, in builder and verifier alike
+CERT_TOL = 1e-9
 
 
 class HypothesisViolated(ValueError):
@@ -57,27 +57,6 @@ class ZeroArgument(ValueError):
 
 class CertificateError(RuntimeError):
     """A certificate cannot be built, breaks its own inequalities or fails verification."""
-
-
-class ToleranceError(ValueError):
-    """HYPBOUND_TOL is set but is not a positive finite number."""
-
-
-def certificate_tolerance() -> float:
-    """Slack for certificate inequality checks.
-
-    Defaults to 1e-9; the HYPBOUND_TOL environment variable overrides it.
-    """
-    raw = os.environ.get("HYPBOUND_TOL")
-    if raw is None:
-        return DEFAULT_CERT_TOL
-    try:
-        tol = float(raw)
-    except ValueError as e:
-        raise ToleranceError(f"HYPBOUND_TOL must be a number, got {raw!r}") from e
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ToleranceError("HYPBOUND_TOL must be a positive finite number")
-    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +91,6 @@ class HalvingConstants:
     c: float
     branch_log4delta: float
     branch_5log2: float
-    c_circle: float
-    c_deep_cap: float
 
 
 def constants(seq: SequenceSpec) -> HalvingConstants:
@@ -124,12 +101,7 @@ def constants(seq: SequenceSpec) -> HalvingConstants:
         raise HypothesisViolated(f"at index {k}: delta = |a_{k}| = {delta} is too small; 4/delta overflows")
     branch_log4delta = 1.0 / (TWO_ROOT_TWO * (KAPPA + math.log(4.0 / delta)))
     branch_5log2 = 1.0 / (TWO_ROOT_TWO * (KAPPA + 5.0 * math.log(2.0)))
-    c = min(branch_log4delta, branch_5log2)
-    c_circle = 1.0 / (TWO_ROOT_TWO * KAPPA)
-    c_deep_cap = TWO_ROOT_TWO / (KAPPA + 2.0 * math.log(6.0))
-    if not (c <= c_circle and c <= c_deep_cap):
-        raise RuntimeError(f"c = {c} exceeds the circle or deep-case ceiling")
-    return HalvingConstants(delta, c, branch_log4delta, branch_5log2, c_circle, c_deep_cap)
+    return HalvingConstants(delta, min(branch_log4delta, branch_5log2), branch_log4delta, branch_5log2)
 
 
 def dyadic_witness(seq: SequenceSpec, n: int) -> int:
@@ -311,7 +283,7 @@ def build_certificate(
         b = first_boundary_hit(spec, arc_then_radial(z, target))
 
     log_ratio, cap, implied = _chain(tag, z, zeta, b, delta)
-    if not log_ratio <= cap + certificate_tolerance():
+    if not log_ratio <= cap + CERT_TOL:
         raise CertificateError(f"log ratio {log_ratio} exceeds cap {cap} ({tag.value}) at z = {z}")
     if not implied >= consts.c / abs(z) - 1e-12:
         raise CertificateError(f"implied bound {implied} falls below c/|z| at z = {z}")
@@ -327,14 +299,12 @@ def verify_certificate(spec: DomainSpec, consts: HalvingConstants, cert: Certifi
     the implied bound.  Returns False instead of raising, so tampered
     certificates are rejected rather than exploding.
     """
-    tol = certificate_tolerance()
     z, zeta, b = cert.z, cert.zeta, cert.b
     try:
         nb = nearest_boundary(spec, z)
     except ValueError:
         return False
-    # a witness can round onto z itself, next to a disk narrower than an ulp of z
-    if b == zeta or zeta == z or zeta not in [w for _, w in nb.witnesses]:
+    if b == zeta or zeta not in [w for _, w in nb.witnesses]:
         return False
     gap = abs(z - zeta)
     if _case_tag(_circle_witness(spec, nb), z, gap, consts.delta) is not cert.case_tag:
@@ -343,12 +313,12 @@ def verify_certificate(spec: DomainSpec, consts: HalvingConstants, cert: Certifi
         return False
     log_ratio, cap, implied = _chain(cert.case_tag, z, zeta, b, consts.delta)
     return (
-        abs(log_ratio - cert.log_ratio) <= tol
-        and abs(cap - cert.case_log_cap) <= tol
-        and log_ratio <= cap + tol
-        and abs(implied - cert.implied_lower) <= tol * max(1.0, implied)
+        abs(log_ratio - cert.log_ratio) <= CERT_TOL
+        and abs(cap - cert.case_log_cap) <= CERT_TOL
+        and log_ratio <= cap + CERT_TOL
+        and abs(implied - cert.implied_lower) <= CERT_TOL * max(1.0, implied)
         and cert.implied_lower >= consts.c / abs(z) - 1e-12
-        and TWO_ROOT_TWO * consts.c * (KAPPA + log_ratio) <= abs(z) / gap + tol
+        and TWO_ROOT_TWO * consts.c * (KAPPA + log_ratio) <= abs(z) / gap + CERT_TOL
     )
 
 

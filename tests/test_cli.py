@@ -380,16 +380,17 @@ def _negative_oracle(monkeypatch):
     monkeypatch.setattr(oracles, "oracle_density", lambda *args: -1.0)
 
 
-def _bad_tolerance(monkeypatch):
-    monkeypatch.setenv("HYPBOUND_TOL", "abc")
-
-
 HYP_SPEC = {"primitives": [], "sequence": {"type": "explicit", "points": [[0.5, 0], [0.2, 0]]}}
 STARVED_SPEC = {"primitives": [], "sequence": {"type": "explicit", "points": [[0.0999999, 0]]}}
 # the DeepSmallGap ring of radius 1/64 lies inside the disk around the origin
 COVERED_RING_SPEC = {
     "primitives": [{"type": "disk", "cx": 0, "cy": 0, "r": 0.05}],
     "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 60},
+}
+# a disk narrower than an ulp of 0.5, inside G at nextafter(0.5, 1)
+ULP_DISK_SPEC = {
+    "primitives": [{"type": "disk", "cx": 0.5, "cy": 0, "r": 1e-16}],
+    "sequence": {"type": "geometric", "delta": 0.25, "ratio": 0.5, "count": 40},
 }
 # 4/delta overflows
 TINY_DELTA_SPEC = {"primitives": [], "sequence": {"type": "explicit", "points": [[5e-324, 0]]}}
@@ -409,6 +410,9 @@ EXIT_CASES = {
     # delta / |z| overflows to inf; the annulus index never forms that quotient
     "subnormal-z-bounds": (battery_json(0.5, 0.5), ["bounds", "--z=1e-310,0"], None, 1, "truncation: "),
     "subnormal-z-certify": (battery_json(0.5, 0.5), ["certify", "--z=1e-320,1e-320"], None, 1, "truncation: "),
+    # the nearest witness on the disk of radius 1e-16 rounds onto z
+    "witness-on-z-bounds": (ULP_DISK_SPEC, ["bounds", "--z=0.5000000000000001,0"], None, 1, "not in domain: "),
+    "witness-on-z-certify": (ULP_DISK_SPEC, ["certify", "--z=0.5000000000000001,0"], None, 1, "not in domain: "),
     "tiny-delta": (TINY_DELTA_SPEC, ["certify", "--z=0.3,0.1"], None, 1, "hypothesis failure: at index 0: "),
     "starvation": (STARVED_SPEC, ["sweep", "--n", "4", "--out", "{tmp}/x.csv"], None, 1, "sampling failure: "),
     "certificate-build": (
@@ -436,7 +440,6 @@ EXIT_CASES = {
     "bad-delta": (None, ["slit-audit", "--deltas", "0.3", "--out", "{tmp}/x.csv"], None, 2, "error: "),
     "z-nan": (battery_json(0.5, 0.5), ["bounds", "--z=nan,0"], None, 2, "error: "),
     "z-inf": (battery_json(0.5, 0.5), ["certify", "--z=0,-inf"], None, 2, "error: "),
-    "tolerance": (battery_json(0.5, 0.5), ["certify", "--z=0,0.3"], _bad_tolerance, 2, "error: "),
 }
 
 
