@@ -17,13 +17,19 @@ few other primitives.  By the triangle inequality ||z| - |p|| <= |z - p| <=
 |z| + |p|, so a point can meet a distance condition only if its modulus
 lies in a window around |z|: `contains` looks the point up, `nearest_boundary`
 and `boundary_gap` scan outward from |z| while ||z| - |p|| is at most the
-best distance so far (times 1 + TIE_REL), `first_boundary_hit` takes the
-points within HIT_TOL of an arc's radius or a radial run's range, and
-`distance_set(spec, a, near=d)` keeps the points whose |a - p| can lie as
-close to d as the best match found.  Every window is widened by _SLACK times
+best distance so far, `first_boundary_hit` takes the points within HIT_TOL
+of an arc's radius or a radial run's range, and `distance_set(spec, a,
+near=d)` keeps the points whose |a - p| can lie as close to d as the best
+match found.  Every window is widened by _SLACK times
 its upper end, far above the few ulps by which computed moduli and
 distances can stray from exact ones, so the indexed answers are the floats
 a scan over every primitive returns.
+
+The nearest witnesses of a point are decided exactly on the stored floats
+(Beardon-Pommerenke take the infimum over exactly nearest boundary points):
+a float filter keeps the few candidates within rounding of the smallest
+distance, and a float predicate with an error bound, falling back to exact
+rational arithmetic, keeps those at the exactly smallest distance.
 """
 
 from __future__ import annotations
@@ -38,9 +44,23 @@ from enum import Enum
 from functools import cached_property
 
 GEOM_TOL = 1e-12   # on-boundary / witness tolerance
-TIE_REL = 1e-9     # relative tolerance grouping tied nearest witnesses
 HIT_TOL = 1e-10    # boundary-hit tolerance along paths
 _SLACK = 1e-9      # relative widening of every modulus window of the index
+
+# The float filter of nearest_boundary.  With u = 2^-53, a computed
+# abs(z - w) rounds each coordinate difference (relative error <= u, exact
+# when the result is subnormal) and passes them to the C library's hypot,
+# which glibc documents within 1 ulp (relative 2u).  So it lies within a
+# factor 1 +- 3u (+ O(u^2)) of the exact |z - w|, up to 2^-1074 below the
+# normal range.  If w is exactly nearest and d = abs(z - w') is the smallest
+# computed distance,
+#     abs(z - w) <= (1 + 3u)|z - w| <= (1 + 3u)|z - w'| <= d (1 + 3u)/(1 - 3u) < d (1 + 7u),
+# while d * (1 + 32u), rounded, is at least d (1 + 31u): every exactly
+# nearest w passes, with room for a hypot up to 7 ulps off.
+_FILTER = 1.0 + 2.0**-48   # 1 + 32u, a float exactly
+# Absolute allowance for underflow, far above the few 2^-1074 that the
+# distances and the predicate of _closer can lose below the normal range.
+_TINY = 2.0**-1060
 
 _TAU = 2.0 * math.pi
 
@@ -340,15 +360,17 @@ class PointIndex:
         pad = abs(hi) * _SLACK
         return self.slots[bisect_left(self.moduli, lo - pad) : bisect_right(self.moduli, hi + pad)]
 
-    def scan(self, z: complex, bound: float, tie: float) -> tuple[float, list[tuple[float, int, complex]]]:
+    def scan(self, z: complex, bound: float) -> tuple[float, list[tuple[float, int, complex]]]:
         """(d, hits): d is the smaller of bound and the distance from z to the
         nearest point, and hits holds (|z - p|, index, p) for every point p
-        that can lie within d(1 + tie) of z.
+        whose computed distance can come within rounding of d.
 
         The scan runs outward from |z| in both directions, lowers bound to
         each nearer distance it meets, and stops once ||z| - |p|| exceeds
-        bound(1 + tie), widened by _SLACK * (that + |z|); the bound it ends
-        with is d.
+        bound, widened by _SLACK * (bound + |z|); the bound it ends with is
+        d.  That widening, relative 1e-9, lies far past the 32 ulps of the
+        float filter of nearest_boundary, so every candidate the filter
+        keeps is among the hits.
         """
         r = abs(z)
         ms, pts, slots = self.moduli, self.points, self.slots
@@ -356,8 +378,7 @@ class PointIndex:
         mid = bisect_left(ms, r)
         for js in (range(mid, len(ms)), range(mid - 1, -1, -1)):
             for j in js:
-                reach = bound * (1.0 + tie)
-                if not abs(ms[j] - r) <= reach + (reach + r) * _SLACK:
+                if not abs(ms[j] - r) <= bound + (bound + r) * _SLACK:
                     break
                 dist = abs(z - pts[j])
                 out.append((dist, slots[j], pts[j]))
@@ -431,25 +452,35 @@ class NearestBoundary:
 
 
 def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
-    """Distance to the boundary of G with every realizing primitive.
+    """Distance to the boundary of G with every exactly nearest primitive.
 
-    Witnesses are (primitive index, realizing point) pairs, in primitive
-    order, listing every primitive whose distance ties the minimum within
-    relative 1e-9.  Raises NotInDomain when z is not in G or lies within
-    rounding of its boundary.
+    d is the smallest computed distance.  Witnesses are (primitive index,
+    realizing point) pairs, in primitive order, listing every primitive
+    whose realizing point w is exactly nearest to z: |z - w| computed
+    without rounding from the stored floats is the minimum, so exact ties
+    stay and near-ties go.  Raises NotInDomain when z is not in G or lies
+    within rounding of its boundary.
     """
     if contains(spec, z) is not Membership.IN_G:
         raise NotInDomain(f"point {z} is not in G")
     idx = spec.point_index
     realized = [(abs(z - w), i, w) for i, prim in idx.others for w in (prim.nearest_point(z),)]
-    d, hits = idx.scan(z, min(dist for dist, _, _ in realized), TIE_REL)
+    d, hits = idx.scan(z, min(dist for dist, _, _ in realized))
     if d == 0.0:
         # a witness rounded onto z (a disk narrower than an ulp of z): z lies
         # within rounding of the boundary, with no positive distance to bound
         raise NotInDomain(f"point {z} is within rounding of the boundary")
     realized += hits
-    cutoff = d * (1.0 + TIE_REL)
-    witnesses = sorted((i, w) for dist, i, w in realized if dist <= cutoff)
+    cutoff = d * _FILTER + _TINY
+    nearest: list[tuple[int, complex]] = []
+    for dist, i, w in realized:
+        if dist <= cutoff:
+            sign = _closer(z, w, nearest[0][1]) if nearest else -1
+            if sign < 0:
+                nearest = [(i, w)]
+            elif sign == 0:
+                nearest.append((i, w))
+    witnesses = sorted(nearest)
     for i, w in witnesses:
         if spec.primitives[i].boundary_distance(w) > GEOM_TOL:
             raise RuntimeError(f"witness {w} of primitive {i} is off the boundary")
@@ -458,16 +489,50 @@ def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
     return NearestBoundary(z, d, tuple(witnesses))
 
 
+def _closer(z: complex, p: complex, q: complex) -> int:
+    """The sign of |z - p|^2 - |z - q|^2, exact for the stored floats.
+
+    The difference is the dot product (p - q).(p + q - 2z).  Its float
+    value s, with P the same sum over absolute values, is off by at most
+    ((1 + u)^5 - 1) P / (1 - u)^5 < 6u P, where u = 2^-53: each product
+    a (b + c - 2x) takes four relative roundings and the sum one more, and
+    the computed P falls below the exact one by at most a factor (1 - u)^5.
+    Outside the bound 8u P + _TINY the sign of s is the exact sign; inside
+    it, exact rational arithmetic decides.
+    """
+    ax, ay = p.real - q.real, p.imag - q.imag
+    sx, sy = p.real + q.real, p.imag + q.imag
+    tx, ty = 2.0 * z.real, 2.0 * z.imag
+    s = ax * (sx - tx) + ay * (sy - ty)
+    bound = (abs(ax) * (abs(sx) + abs(tx)) + abs(ay) * (abs(sy) + abs(ty))) * 2.0**-50 + _TINY
+    if s > bound:
+        return 1
+    if s < -bound:
+        return -1
+    return _exact_closer(z, p, q)
+
+
+def _exact_closer(z: complex, p: complex, q: complex) -> int:
+    """_closer in rational arithmetic, for the near-ties the float bound cannot decide."""
+    # imported here: only near-ties need it, and a module-level import would
+    # add to the start-up of every command
+    from fractions import Fraction
+
+    zx, zy, px, py, qx, qy = map(Fraction, (z.real, z.imag, p.real, p.imag, q.real, q.imag))
+    s = (px - qx) * (px + qx - 2 * zx) + (py - qy) * (py + qy - 2 * zy)
+    return (s > 0) - (s < 0)
+
+
 def boundary_gap(spec: DomainSpec, z: complex) -> float:
     """Distance from z to the union of boundary curves of the primitives."""
     idx = spec.point_index
-    return idx.scan(z, min(prim.boundary_distance(z) for _, prim in idx.others), 0.0)[0]
+    return idx.scan(z, min(prim.boundary_distance(z) for _, prim in idx.others))[0]
 
 
 def obstacle_gap(spec: DomainSpec, z: complex) -> float:
     """Distance from z to E, the union of the obstacles; inf when there is none."""
     idx = spec.point_index
-    return idx.scan(z, min((prim.set_distance(z) for prim in idx.shapes), default=math.inf), 0.0)[0]
+    return idx.scan(z, min((prim.set_distance(z) for prim in idx.shapes), default=math.inf))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +54,29 @@ def boundary_points(spec: DomainSpec, count: int, seed: int) -> list[complex]:
         else:
             out.append(cmath.rect(1.0, rng.uniform(0, math.tau)))
     return out
+
+
+def exact_sq_distance(z: complex, w: complex) -> Fraction:
+    """|z - w|^2 without rounding, from the stored floats."""
+    dx, dy = Fraction(z.real) - Fraction(w.real), Fraction(z.imag) - Fraction(w.imag)
+    return dx * dx + dy * dy
+
+
+def mirror(p: complex, z: complex, how: str) -> complex:
+    """p reflected through z ("point"), or about the horizontal or the
+    vertical line through z."""
+    return {
+        "point": 2.0 * z - p,
+        "horizontal": complex(p.real, 2.0 * z.imag - p.imag),
+        "vertical": complex(2.0 * z.real - p.real, p.imag),
+    }[how]
+
+
+def nudge(x: float, steps: int) -> float:
+    """x moved by |steps| ulps, up for positive steps."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
 
 
 def primitive_samples(prim, m: int) -> np.ndarray:

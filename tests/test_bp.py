@@ -6,6 +6,7 @@ which can only overshoot the true infimum."""
 import cmath
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypbound import (
     compute_L,
     disk_density,
     distance_set,
+    load_domain,
     log_distance_to_set,
     nearest_boundary,
     punctured_disk_density,
@@ -32,6 +34,8 @@ from hypbound.cli import sample_domain_points
 from hypbound.oracles import OracleDomain, oracle_density, oracle_fixture
 
 from conftest import battery_domain, boundary_cloud, mixed_domain
+
+DENSE = Path(__file__).resolve().parents[1] / "bench" / "specs" / "dense.json"
 
 
 class TestKappa:
@@ -130,6 +134,17 @@ class TestComputeL:
     def test_rejects_outside(self, std_domain):
         with pytest.raises(NotInDomain):
             compute_L(std_domain, 0.5 + 0j)
+
+    @pytest.mark.parametrize("z, L", [(complex(-0.05, -0.3), 0.0046596798503624132), (0.3j, 0.0017415047625832009)])
+    def test_origin_alone_is_nearest_on_the_dense_sequence(self, z, L):
+        # only the origin is exactly nearest, though 369 and 1253 primitives
+        # lie within relative 1e-9 of d; any farther one taken as a witness
+        # could lower L below its value at the origin
+        spec = load_domain(str(DENSE))
+        nb = nearest_boundary(spec, z)
+        assert [w for _, w in nb.witnesses] == [0j]
+        r = compute_L(spec, z, nb)
+        assert (r.L, r.witness_a) == (L, 0j)
 
     def test_reuses_nb_of_its_point_only(self, std_domain):
         z = 0.3 + 0.2j

@@ -4,6 +4,8 @@ distances, arc+radial first hits, clearances, rotation, serialization."""
 import cmath
 import math
 import random
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,13 +34,17 @@ from hypbound import (
     nearest_boundary,
     rotate_domain,
 )
-from hypbound.geometry import GEOM_TOL, ArcPiece, _piece_hits, primitive_clearance
+from hypbound import geometry
+from hypbound.geometry import GEOM_TOL, ArcPiece, _closer, _piece_hits, primitive_clearance
 
 from conftest import (
     battery_domain,
     battery_json,
     boundary_points,
+    exact_sq_distance,
+    mirror,
     mixed_domain,
+    nudge,
     primitive_samples,
     write_spec,
 )
@@ -253,6 +259,75 @@ class TestNearestBoundary:
         assert isinstance(spec.primitives[i], UnitCircle)
         assert abs(1.0 - abs(w)) <= 1e-15
         assert abs(w - cmath.rect(1.0, cmath.phase(z))) <= 1e-15
+
+
+def exact_sign(z: complex, p: complex, q: complex) -> int:
+    diff = exact_sq_distance(z, p) - exact_sq_distance(z, q)
+    return (diff > 0) - (diff < 0)
+
+
+coord = st.floats(-0.9, 0.9)
+
+
+@st.composite
+def predicate_inputs(draw):
+    """(z, p, q): q is p mirrored about z, about a horizontal or vertical line
+    through z, or p itself, each coordinate then moved by up to 3 ulps, so
+    exact ties and near-ties dominate."""
+    z, p = complex(draw(coord), draw(coord)), complex(draw(coord), draw(coord))
+    how = draw(st.sampled_from(["point", "horizontal", "vertical", "same", "free"]))
+    if how == "same":
+        q = p
+    elif how == "free":
+        q = complex(draw(coord), draw(coord))
+    else:
+        q = mirror(p, z, how)
+    steps = st.integers(-3, 3)
+    q = complex(nudge(q.real, draw(steps)), nudge(q.imag, draw(steps)))
+    return z, p, q
+
+
+class TestExactWitnesses:
+    @given(predicate_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_closer_is_exact(self, case):
+        z, p, q = case
+        assert _closer(z, p, q) == exact_sign(z, p, q)
+
+    @given(predicate_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_float_decisions_are_exact(self, case):
+        # with the rational fallback disabled, whatever the float bound
+        # decides must already be the exact sign
+        z, p, q = case
+        with mock.patch.object(geometry, "_exact_closer", lambda *args: None):
+            got = _closer(z, p, q)
+        assert got is None or got == exact_sign(z, p, q)
+
+    @given(st.complex_numbers(max_magnitude=0.99), st.complex_numbers(max_magnitude=1.0))
+    @settings(max_examples=400, deadline=None)
+    def test_computed_distance_within_the_filter_model(self, z, w):
+        # the float filter assumes abs(z - w) within a factor 1 +- 3u of
+        # |z - w| (plus O(u^2)) in the normal range; 4u covers the square terms
+        u = Fraction(2) ** -53
+        exact = exact_sq_distance(z, w)
+        got = Fraction(abs(z - w)) ** 2
+        if abs(z - w) >= 2.0**-1000:
+            assert (1 - 4 * u) ** 2 * exact <= got <= (1 + 4 * u) ** 2 * exact
+
+    def test_points_symmetric_about_z_both_kept(self):
+        # conjugates are mirror images about the real axis bit for bit
+        z = 0.3 + 0j
+        nb = nearest_boundary(points_domain(0.2 + 0.1j, 0.2 - 0.1j), z)
+        assert [w for _, w in nb.witnesses] == [0.2 + 0.1j, 0.2 - 0.1j]
+
+    def test_near_tie_dropped(self):
+        # one ulp farther: the computed distances agree, the exact ones do not
+        z = 0.3 + 0j
+        far = complex(0.2, math.nextafter(-0.1, -1.0))
+        assert abs(z - far) == abs(z - (0.2 + 0.1j))
+        nb = nearest_boundary(points_domain(0.2 + 0.1j, far), z)
+        assert [w for _, w in nb.witnesses] == [0.2 + 0.1j]
 
 
 # ---------------------------------------------------------------------------

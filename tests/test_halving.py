@@ -377,8 +377,9 @@ class TestVerifyCertificate:
         assert not verify_certificate(spec, consts, dataclasses.replace(cert, zeta=zeta))
 
     def test_detects_zeta_one_ulp_off_a_witness(self):
-        # zeta = 0 ties 368 other nearest witnesses; one ulp away it passes
-        # every tolerance, yet it is not a witness
+        # zeta = 0 is the one exactly nearest witness among 369 points within
+        # relative 1e-9 of d; one ulp away it passes every tolerance, yet it
+        # is not a witness
         spec, consts = bench_domain("dense.json")
         cert = build_certificate(spec, consts, complex(-0.05, -0.3))
         assert cert.zeta == 0 and verify_certificate(spec, consts, cert)

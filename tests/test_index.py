@@ -32,10 +32,10 @@ from hypbound import (
     log_distance_to_set,
     nearest_boundary,
 )
-from hypbound.geometry import TIE_REL, _piece_hits, obstacle_gap
+from hypbound.geometry import _piece_hits, obstacle_gap
 from hypbound.halving import CertificateError, _interior_circle_point
 
-from conftest import boundary_points
+from conftest import boundary_points, exact_sq_distance, mirror, nudge
 
 # ---------------------------------------------------------------------------
 # brute-force references
@@ -50,9 +50,12 @@ def linear_contains(spec, z):
 
 
 def linear_nearest(spec, z):
-    realized = [(abs(z - w), i, w) for i, prim in enumerate(spec.primitives) for w in [prim.nearest_point(z)]]
-    d = min(dist for dist, _, _ in realized)
-    return d, tuple((i, w) for dist, i, w in realized if dist <= d * (1.0 + TIE_REL))
+    """(d, witnesses): the smallest computed distance, and every primitive
+    whose realizing point attains the exact minimum of |z - w|^2."""
+    realized = [(i, prim.nearest_point(z)) for i, prim in enumerate(spec.primitives)]
+    d = min(abs(z - w) for _, w in realized)
+    exact = [exact_sq_distance(z, w) for _, w in realized]
+    return d, tuple(iw for iw, sq in zip(realized, exact) if sq == min(exact))
 
 
 def linear_gap(spec, z):
@@ -159,6 +162,37 @@ def spec_and_point(draw):
     return spec, z
 
 
+@st.composite
+def near_tie_spec_and_point(draw):
+    """Points, segments and disks around z, several of them at exactly or
+    nearly the distance of the first point: mirror images of it about lines
+    through z, a few ulps off."""
+    z = complex(draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6)))
+    p = z + cmath.rect(draw(st.floats(1e-3, 0.3)), draw(st.floats(0.0, math.tau)))
+    steps = st.integers(-2, 2)
+    pts = [p]
+    for image in draw(st.lists(st.sampled_from(["horizontal", "vertical", "point"]), max_size=3)):
+        q = mirror(p, z, image)
+        pts.append(complex(nudge(q.real, draw(steps)), nudge(q.imag, draw(steps))))
+    prims = [SinglePoint(q) for q in dict.fromkeys(pts) if q != 0 and abs(q) < 0.95]
+    gap = abs(z - p)
+    for kind in draw(st.lists(st.sampled_from(["segment", "disk"]), max_size=2)):
+        # a segment tangent to the circle |w - z| = gap, or a disk touching it from outside
+        theta = draw(st.floats(0.0, math.tau))
+        foot = z + cmath.rect(gap, theta)
+        if kind == "segment":
+            tangent = cmath.rect(0.05, theta + math.pi / 2.0)
+            candidate = (foot - tangent, foot + tangent)
+            if max(map(abs, candidate)) < 0.95:
+                prims.append(Segment(*candidate))
+        else:
+            r = draw(st.floats(1e-3, 0.1))
+            center = z + cmath.rect(gap + r, theta)
+            if abs(center) + r < 0.95:
+                prims.append(ObstacleDisk(center, r))
+    return DomainSpec.bare(prims, include_origin=draw(st.booleans())), z
+
+
 INDEXED = settings(max_examples=250, deadline=None)
 
 
@@ -181,7 +215,7 @@ def test_every_point_is_in_e(spec):
         assert boundary_gap(spec, p) == 0.0
 
 
-@given(spec_and_point())
+@given(st.one_of(spec_and_point(), near_tie_spec_and_point()))
 @INDEXED
 def test_nearest_boundary(case):
     spec, z = case
