@@ -103,13 +103,15 @@ def sample_domain_points(
 ) -> Iterator[complex]:
     """n uniform points of G with |z| >= r_min, by rejection.
 
-    Point i draws from its own stream random.Random(seed + i).  Sampling
-    stops with RejectionStarvation once acceptance is below 1% after at
-    least 100000 draws.
+    Point i draws from its own stream random.Random(f"{seed}/{i}"), so
+    the streams of different seeds never overlap (a str seed is hashed
+    with SHA-512, the same on every run).  Sampling stops with
+    RejectionStarvation once acceptance is below 1% after at least 100000
+    draws.
     """
     trials = 0
     for i in range(n):
-        rng = random.Random(seed + i)
+        rng = random.Random(f"{seed}/{i}")
         while True:
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
             trials += 1

@@ -22,7 +22,7 @@ from hypbound.cli import (
     slit_audit_row,
 )
 
-from conftest import battery_json, write_spec
+from conftest import battery_domain, battery_json, write_spec
 
 NEG_AXIS_SPEC = {
     "primitives": [],
@@ -263,6 +263,12 @@ class TestSweep:
         for row, z in zip(read_csv(str(out))[1:], sample_domain_points(spec, 11, 10), strict=True):
             assert float(row[0]) == z.real
             assert float(row[1]) == z.imag
+
+    def test_adjacent_seeds_share_no_point(self):
+        # with a stream per seed + i, seed 8's row 1 would be seed 7's row 2
+        spec = battery_domain(0.5, 0.5)
+        seven, eight = (set(sample_domain_points(spec, seed, 50)) for seed in (7, 8))
+        assert not seven & eight
 
     def test_empty_sweep(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, battery_json(0.5, 0.5))
