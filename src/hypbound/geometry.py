@@ -25,11 +25,14 @@ its upper end, far above the few ulps by which computed moduli and
 distances can stray from exact ones, so the indexed answers are the floats
 a scan over every primitive returns.
 
-The nearest witnesses of a point are decided exactly on the stored floats
-(Beardon-Pommerenke take the infimum over exactly nearest boundary points):
-a float filter keeps the few candidates within rounding of the smallest
-distance, and a float predicate with an error bound, falling back to exact
-rational arithmetic, keeps those at the exactly smallest distance.
+The nearest witnesses of a point (Beardon-Pommerenke take the infimum
+over exactly nearest boundary points) pass a float filter that keeps the
+few candidates within rounding of the smallest distance.  Among the points
+the filter keeps, exact integer arithmetic on the stored floats keeps
+those at the exactly smallest distance.  Every curve it keeps stays: the
+realizing point of a segment, disk or the unit circle is a rounded
+projection, so an exact comparison with it would decide a tie by rounding
+error.
 """
 
 from __future__ import annotations
@@ -52,14 +55,16 @@ _SLACK = 1e-9      # relative widening of every modulus window of the index
 # when the result is subnormal) and passes them to the C library's hypot,
 # which glibc documents within 1 ulp (relative 2u).  So it lies within a
 # factor 1 +- 3u (+ O(u^2)) of the exact |z - w|, up to 2^-1074 below the
-# normal range.  If w is exactly nearest and d = abs(z - w') is the smallest
-# computed distance,
+# normal range.  Let d = abs(z - w') be the smallest computed distance.  A
+# point w with |z - w| <= |z - w'|, such as the exactly nearest point when
+# w' is a point, has
 #     abs(z - w) <= (1 + 3u)|z - w| <= (1 + 3u)|z - w'| <= d (1 + 3u)/(1 - 3u) < d (1 + 7u),
-# while d * (1 + 32u), rounded, is at least d (1 + 31u): every exactly
-# nearest w passes, with room for a hypot up to 7 ulps off.
+# while d * (1 + 32u), rounded, is at least d (1 + 31u): it passes, with
+# room for a hypot up to 7 ulps off, or for a curve's realizing point w'
+# that rounding moved a few ulps nearer than the curve's point tied with w.
 _FILTER = 1.0 + 2.0**-48   # 1 + 32u, a float exactly
 # Absolute allowance for underflow, far above the few 2^-1074 that the
-# distances and the predicate of _closer can lose below the normal range.
+# distances can lose below the normal range.
 _TINY = 2.0**-1060
 
 _TAU = 2.0 * math.pi
@@ -452,35 +457,29 @@ class NearestBoundary:
 
 
 def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
-    """Distance to the boundary of G with every exactly nearest primitive.
+    """Distance to the boundary of G with its nearest witnesses.
 
     d is the smallest computed distance.  Witnesses are (primitive index,
-    realizing point) pairs, in primitive order, listing every primitive
-    whose realizing point w is exactly nearest to z: |z - w| computed
-    without rounding from the stored floats is the minimum, so exact ties
-    stay and near-ties go.  Raises NotInDomain when z is not in G or lies
-    within rounding of its boundary.
+    realizing point) pairs, in primitive order: every point primitive at
+    the exactly smallest |z - p| among the points within the float filter,
+    so exact ties stay and near-ties go, and every other primitive within
+    the filter, whose realizing point is a rounded projection.  Raises
+    NotInDomain when z is not in G or lies within rounding of its boundary.
     """
     if contains(spec, z) is not Membership.IN_G:
         raise NotInDomain(f"point {z} is not in G")
     idx = spec.point_index
-    realized = [(abs(z - w), i, w) for i, prim in idx.others for w in (prim.nearest_point(z),)]
-    d, hits = idx.scan(z, min(dist for dist, _, _ in realized))
+    curves = [(abs(z - w), i, w) for i, prim in idx.others for w in (prim.nearest_point(z),)]
+    d, hits = idx.scan(z, min(dist for dist, _, _ in curves))
     if d == 0.0:
         # a witness rounded onto z (a disk narrower than an ulp of z): z lies
         # within rounding of the boundary, with no positive distance to bound
         raise NotInDomain(f"point {z} is within rounding of the boundary")
-    realized += hits
     cutoff = d * _FILTER + _TINY
-    nearest: list[tuple[int, complex]] = []
-    for dist, i, w in realized:
-        if dist <= cutoff:
-            sign = _closer(z, w, nearest[0][1]) if nearest else -1
-            if sign < 0:
-                nearest = [(i, w)]
-            elif sign == 0:
-                nearest.append((i, w))
-    witnesses = sorted(nearest)
+    points = [(i, p) for dist, i, p in hits if dist <= cutoff]
+    if len(points) > 1:
+        points = _exactly_nearest(z, points)
+    witnesses = sorted([(i, w) for dist, i, w in curves if dist <= cutoff] + points)
     for i, w in witnesses:
         if spec.primitives[i].boundary_distance(w) > GEOM_TOL:
             raise RuntimeError(f"witness {w} of primitive {i} is off the boundary")
@@ -489,38 +488,19 @@ def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
     return NearestBoundary(z, d, tuple(witnesses))
 
 
-def _closer(z: complex, p: complex, q: complex) -> int:
-    """The sign of |z - p|^2 - |z - q|^2, exact for the stored floats.
+def _exactly_nearest(z: complex, points: list[tuple[int, complex]]) -> list[tuple[int, complex]]:
+    """The (index, point) pairs at the exactly smallest |z - p|.
 
-    The difference is the dot product (p - q).(p + q - 2z).  Its float
-    value s, with P the same sum over absolute values, is off by at most
-    ((1 + u)^5 - 1) P / (1 - u)^5 < 6u P, where u = 2^-53: each product
-    a (b + c - 2x) takes four relative roundings and the sum one more, and
-    the computed P falls below the exact one by at most a factor (1 - u)^5.
-    Outside the bound 8u P + _TINY the sign of s is the exact sign; inside
-    it, exact rational arithmetic decides.
+    Every finite float is n / 2^k for integers n and k >= 0, so scaled by
+    the largest 2^k among the coordinates, the squared distances are
+    integers, computed without rounding.
     """
-    ax, ay = p.real - q.real, p.imag - q.imag
-    sx, sy = p.real + q.real, p.imag + q.imag
-    tx, ty = 2.0 * z.real, 2.0 * z.imag
-    s = ax * (sx - tx) + ay * (sy - ty)
-    bound = (abs(ax) * (abs(sx) + abs(tx)) + abs(ay) * (abs(sy) + abs(ty))) * 2.0**-50 + _TINY
-    if s > bound:
-        return 1
-    if s < -bound:
-        return -1
-    return _exact_closer(z, p, q)
-
-
-def _exact_closer(z: complex, p: complex, q: complex) -> int:
-    """_closer in rational arithmetic, for the near-ties the float bound cannot decide."""
-    # imported here: only near-ties need it, and a module-level import would
-    # add to the start-up of every command
-    from fractions import Fraction
-
-    zx, zy, px, py, qx, qy = map(Fraction, (z.real, z.imag, p.real, p.imag, q.real, q.imag))
-    s = (px - qx) * (px + qx - 2 * zx) + (py - qy) * (py + qy - 2 * zy)
-    return (s > 0) - (s < 0)
+    ratios = [x.as_integer_ratio() for w in (z, *(p for _, p in points)) for x in (w.real, w.imag)]
+    scale = max(den for _, den in ratios)
+    zx, zy, *coords = (n * (scale // den) for n, den in ratios)
+    sq = [(x - zx) ** 2 + (y - zy) ** 2 for x, y in zip(coords[::2], coords[1::2])]
+    best = min(sq)
+    return [ip for ip, s in zip(points, sq) if s == best]
 
 
 def boundary_gap(spec: DomainSpec, z: complex) -> float:

@@ -1,13 +1,17 @@
 import cmath
+import functools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypbound import DomainSpec, ObstacleDisk, Segment, SequenceSpec, SinglePoint
+from hypbound import DomainSpec, ObstacleDisk, Segment, SequenceSpec, SinglePoint, constants, load_domain
+
+SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
 
 
 def battery_domain(delta: float, ratio: float, count: int = 60) -> DomainSpec:
@@ -20,6 +24,13 @@ def battery_json(delta: float, ratio: float, count: int = 60) -> dict:
         "primitives": [],
         "sequence": {"type": "geometric", "delta": delta, "ratio": ratio, "count": count},
     }
+
+
+@functools.cache
+def bench_domain(name):
+    """A benchmark spec from bench/specs with its constants, loaded once."""
+    spec = load_domain(str(SPECS / name))
+    return spec, constants(spec.sequence)
 
 
 def write_spec(tmp_path, obj, name="spec.json") -> str:

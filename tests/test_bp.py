@@ -6,7 +6,6 @@ which can only overshoot the true infimum."""
 import cmath
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from hypbound import (
     compute_L,
     disk_density,
     distance_set,
-    load_domain,
     log_distance_to_set,
     nearest_boundary,
     punctured_disk_density,
@@ -33,9 +31,7 @@ from hypbound.bp import KAPPA, TWO_ROOT_TWO
 from hypbound.cli import sample_domain_points
 from hypbound.oracles import OracleDomain, oracle_density, oracle_fixture
 
-from conftest import battery_domain, boundary_cloud, mixed_domain
-
-DENSE = Path(__file__).resolve().parents[1] / "bench" / "specs" / "dense.json"
+from conftest import battery_domain, bench_domain, boundary_cloud, mixed_domain
 
 
 class TestKappa:
@@ -140,7 +136,7 @@ class TestComputeL:
         # only the origin is exactly nearest, though 369 and 1253 primitives
         # lie within relative 1e-9 of d; any farther one taken as a witness
         # could lower L below its value at the origin
-        spec = load_domain(str(DENSE))
+        spec, _ = bench_domain("dense.json")
         nb = nearest_boundary(spec, z)
         assert [w for _, w in nb.witnesses] == [0j]
         r = compute_L(spec, z, nb)

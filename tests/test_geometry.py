@@ -5,7 +5,6 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,8 +33,7 @@ from hypbound import (
     nearest_boundary,
     rotate_domain,
 )
-from hypbound import geometry
-from hypbound.geometry import GEOM_TOL, ArcPiece, _closer, _piece_hits, primitive_clearance
+from hypbound.geometry import GEOM_TOL, ArcPiece, _piece_hits, primitive_clearance
 
 from conftest import (
     battery_domain,
@@ -261,48 +259,36 @@ class TestNearestBoundary:
         assert abs(w - cmath.rect(1.0, cmath.phase(z))) <= 1e-15
 
 
-def exact_sign(z: complex, p: complex, q: complex) -> int:
-    diff = exact_sq_distance(z, p) - exact_sq_distance(z, q)
-    return (diff > 0) - (diff < 0)
-
-
 coord = st.floats(-0.9, 0.9)
 
 
 @st.composite
-def predicate_inputs(draw):
+def near_tied_points(draw):
     """(z, p, q): q is p mirrored about z, about a horizontal or vertical line
-    through z, or p itself, each coordinate then moved by up to 3 ulps, so
-    exact ties and near-ties dominate."""
+    through z, or drawn freely, each coordinate then moved by up to 3 ulps,
+    so exact ties and near-ties dominate."""
     z, p = complex(draw(coord), draw(coord)), complex(draw(coord), draw(coord))
-    how = draw(st.sampled_from(["point", "horizontal", "vertical", "same", "free"]))
-    if how == "same":
-        q = p
-    elif how == "free":
-        q = complex(draw(coord), draw(coord))
-    else:
-        q = mirror(p, z, how)
+    how = draw(st.sampled_from(["point", "horizontal", "vertical", "free"]))
+    q = complex(draw(coord), draw(coord)) if how == "free" else mirror(p, z, how)
     steps = st.integers(-3, 3)
     q = complex(nudge(q.real, draw(steps)), nudge(q.imag, draw(steps)))
     return z, p, q
 
 
 class TestExactWitnesses:
-    @given(predicate_inputs())
+    @given(near_tied_points())
     @settings(max_examples=400, deadline=None)
-    def test_closer_is_exact(self, case):
+    def test_points_decided_exactly(self, case):
+        # a bare domain of two points: the witnesses are the points at the
+        # exactly smallest |z - p|, whatever the computed distances say
         z, p, q = case
-        assert _closer(z, p, q) == exact_sign(z, p, q)
-
-    @given(predicate_inputs())
-    @settings(max_examples=400, deadline=None)
-    def test_float_decisions_are_exact(self, case):
-        # with the rational fallback disabled, whatever the float bound
-        # decides must already be the exact sign
-        z, p, q = case
-        with mock.patch.object(geometry, "_exact_closer", lambda *args: None):
-            got = _closer(z, p, q)
-        assert got is None or got == exact_sign(z, p, q)
+        assume(len({z, p, q}) == 3 and max(abs(p), abs(q)) < 1.0)
+        # and nearer than the unit circle, which would otherwise win outright
+        assume(max(abs(z - p), abs(z - q)) < 0.99 * (1.0 - abs(z)))
+        spec = DomainSpec.bare([SinglePoint(w) for w in (p, q) if w != 0], include_origin=0 in (p, q))
+        nb = nearest_boundary(spec, z)
+        sq = {w: exact_sq_distance(z, w) for w in (p, q)}
+        assert {w for _, w in nb.witnesses if w in sq} == {w for w in sq if sq[w] == min(sq.values())}
 
     @given(st.complex_numbers(max_magnitude=0.99), st.complex_numbers(max_magnitude=1.0))
     @settings(max_examples=400, deadline=None)
@@ -320,6 +306,24 @@ class TestExactWitnesses:
         z = 0.3 + 0j
         nb = nearest_boundary(points_domain(0.2 + 0.1j, 0.2 - 0.1j), z)
         assert [w for _, w in nb.witnesses] == [0.2 + 0.1j, 0.2 - 0.1j]
+
+    @pytest.mark.parametrize(
+        "curve, point",
+        [
+            # the segment crosses the real axis at 0.3, but its computed
+            # realizing point is 0.3 + 1.4e-17i, exactly farther than -0.3
+            (Segment(complex(0.3, -0.1), complex(0.3, 0.17)), -0.3 + 0j),
+            # |c| = 0.625 and r = 0.125 are exact, so the disk lies at distance
+            # 0.5 from 0, but its realizing point rounds off the circle |w| = 0.5
+            (ObstacleDisk(0.375 + 0.5j, 0.125), -0.5 + 0j),
+        ],
+    )
+    def test_curve_tied_with_a_point_stays(self, curve, point):
+        w = curve.nearest_point(0j)
+        assert exact_sq_distance(0j, w) != exact_sq_distance(0j, point)
+        for prims in ([curve, SinglePoint(point)], [SinglePoint(point), curve]):
+            nb = nearest_boundary(DomainSpec.bare(prims), 0j)
+            assert {v for _, v in nb.witnesses} == {w, point}
 
     def test_near_tie_dropped(self):
         # one ulp farther: the computed distances agree, the exact ones do not

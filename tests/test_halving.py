@@ -3,7 +3,6 @@ dyadic annulus witnesses, and the per-point certificate machinery."""
 
 import cmath
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -36,7 +35,6 @@ from hypbound import (
     constants,
     contains,
     dyadic_witness,
-    load_domain,
     lower_bound,
     nearest_boundary,
     verify_certificate,
@@ -45,7 +43,7 @@ from hypbound.bp import KAPPA, TWO_ROOT_TWO
 from hypbound.cli import main, sample_domain_points
 from hypbound.halving import _annulus_index, _case_cap
 
-from conftest import battery_domain, write_spec
+from conftest import battery_domain, bench_domain, write_spec
 
 
 def seq_geometric(delta, ratio, count=60):
@@ -536,15 +534,6 @@ class TestCertificateProperties:
                 cert = build_certificate(spec, consts, z)
                 assert cert.log_ratio <= cert.case_log_cap + 1e-9
                 assert verify_certificate(spec, consts, cert)
-
-
-SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
-
-
-@functools.cache
-def bench_domain(name):
-    spec = load_domain(str(SPECS / name))
-    return spec, constants(spec.sequence)
 
 
 @pytest.mark.parametrize("name", ["demo.json", "spiral.json"])

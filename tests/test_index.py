@@ -32,7 +32,7 @@ from hypbound import (
     log_distance_to_set,
     nearest_boundary,
 )
-from hypbound.geometry import _piece_hits, obstacle_gap
+from hypbound.geometry import _FILTER, _TINY, _piece_hits, obstacle_gap
 from hypbound.halving import CertificateError, _interior_circle_point
 
 from conftest import boundary_points, exact_sq_distance, mirror, nudge
@@ -50,12 +50,18 @@ def linear_contains(spec, z):
 
 
 def linear_nearest(spec, z):
-    """(d, witnesses): the smallest computed distance, and every primitive
-    whose realizing point attains the exact minimum of |z - w|^2."""
+    """(d, witnesses): the smallest computed distance; among the primitives
+    within the float filter of it, every point at the exact minimum of
+    |z - p|^2 over those points and every other primitive."""
     realized = [(i, prim.nearest_point(z)) for i, prim in enumerate(spec.primitives)]
     d = min(abs(z - w) for _, w in realized)
-    exact = [exact_sq_distance(z, w) for _, w in realized]
-    return d, tuple(iw for iw, sq in zip(realized, exact) if sq == min(exact))
+    near = [(i, w) for i, w in realized if abs(z - w) <= d * _FILTER + _TINY]
+    points = [exact_sq_distance(z, w) for i, w in near if isinstance(spec.primitives[i], SinglePoint)]
+    return d, tuple(
+        (i, w)
+        for i, w in near
+        if not isinstance(spec.primitives[i], SinglePoint) or exact_sq_distance(z, w) == min(points)
+    )
 
 
 def linear_gap(spec, z):
