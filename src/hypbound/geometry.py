@@ -12,18 +12,20 @@ first boundary hits along arc+radial paths are all exact up to rounding.
 Points are complex numbers in unit-disk coordinates.
 
 Boundary queries read a PointIndex, built on a domain's first query: its
-SinglePoint primitives sorted by modulus, the set of those points, and the
-few other primitives.  By the triangle inequality ||z| - |p|| <= |z - p| <=
-|z| + |p|, so a point can meet a distance condition only if its modulus
-lies in a window around |z|: `contains` looks the point up, `nearest_boundary`
-and `boundary_gap` scan outward from |z| while ||z| - |p|| is at most the
-best distance so far, `first_boundary_hit` takes the points within HIT_TOL
-of an arc's radius or a radial run's range, and `distance_set(spec, a,
-near=d)` keeps the points whose |a - p| can lie as close to d as the best
-match found.  Every window is widened by _SLACK times
-its upper end, far above the few ulps by which computed moduli and
-distances can stray from exact ones, so the indexed answers are the floats
-a scan over every primitive returns.
+SinglePoint primitives sorted by modulus, cut into blocks of _BLOCK
+consecutive points with each block's bounding box, the set of the points,
+and the few other primitives.  By the triangle inequality ||z| - |p|| <=
+|z - p| <= |z| + |p|, so a point can meet a distance condition only if its
+modulus lies in a window around |z|: `contains` looks the point up,
+`nearest_boundary` and `boundary_gap` scan outward from |z| while ||z| -
+|p|| is at most the best distance so far, and skip every later block whose
+box lies farther from z than that distance, `first_boundary_hit` takes the
+points within HIT_TOL of an arc's radius or a radial run's range, and
+`distance_set(spec, a, near=d)` keeps the points whose |a - p| can lie as
+close to d as the best match found.  Every window and box test is widened
+by _SLACK = 2^-40 times its scale plus _SLACK_TINY, a margin proved next to
+each of them to exceed the rounding of the computed moduli and distances,
+so the indexed answers are the floats a scan over every primitive returns.
 
 The nearest witnesses of a point (Beardon-Pommerenke take the infimum
 over exactly nearest boundary points) pass a float filter that keeps the
@@ -48,7 +50,39 @@ from functools import cached_property
 
 GEOM_TOL = 1e-12   # on-boundary / witness tolerance
 HIT_TOL = 1e-10    # boundary-hit tolerance along paths
-_SLACK = 1e-9      # relative widening of every modulus window of the index
+_BLOCK = 32        # points per bounding box of the point index
+
+# Widening of every window of the point index: _SLACK times the window's
+# scale plus _SLACK_TINY.  With u = 2^-53, the rounding each window must
+# absorb is a few dozen u relative (proved next to each window) and a few
+# 2^-1074 absolute below the normal range.  _SLACK = 8192u and _SLACK_TINY
+# clear both with room, and _SLACK stays small: a point within r * 2^-40 of
+# the exactly nearest distance r still enters a window, so a wider slack
+# lets the near-origin points of a sequence into every scan whose nearest
+# point is the origin (relative 1e-9 admitted about 370 of them on
+# bench/specs/dense.json).
+#
+# The scan of PointIndex.scan must visit every point p whose computed
+# distance c = abs(z - p) can pass the float filter of nearest_boundary
+# below (c <= d * _FILTER + _TINY, rounded, for the final d <= bound), and
+# the point of smallest c.  Below, fl is rounding, |m - r| the modulus test
+# with m = fl|p| and r = fl|z|, and lim = bound + (bound + r) * _SLACK +
+# _SLACK_TINY as computed, so lim >= bound (1 + _SLACK)(1 - 3u) + r _SLACK
+# (1 - 3u) + _SLACK_TINY (1 - u) - 2^-1075.  Any point with
+#     |z - p| >= T = bound (1 + 40u) + 2^-1059
+# fails the filter: c >= T (1 - 3u) - 2^-1074 > bound (1 + 35u) + 2^-1060
+# (1 + u), which bounds the rounded cutoff.  Each test drops only such
+# points.
+# - Modulus: the scan stops at fl|m - r| > lim, so |m - r| > lim (1 - u)
+#   (a difference is exact below the normal range).  A hypot lies within
+#   relative 2u of the modulus and 2^-1074, so |m - r| <= ||p| - |z|| +
+#   2u (|p| + |z|) + 2^-1073 <= |z - p| (1 + 2u) + 4u r (1 + 2u) + 2^-1072.
+#   The 4u r term is below r _SLACK (1 - 4u), so
+#       |z - p| (1 + 2u) > bound (1 + _SLACK)(1 - 4u) + _SLACK_TINY (1 - 2^-20),
+#   and |z - p| >= T.
+# - Box: see PointIndex.scan.
+_SLACK = 2.0**-40
+_SLACK_TINY = 2.0**-1050
 
 # The float filter of nearest_boundary.  With u = 2^-53, a computed
 # abs(z - w) rounds each coordinate difference (relative error <= u, exact
@@ -343,9 +377,11 @@ class PointIndex:
 
     `moduli` is ascending, `slots[j]` is the primitive index of the point
     `points[j]` of modulus `moduli[j]` (ties keep primitive order),
-    `point_set` holds the points, `others` the (index, primitive) pairs of
-    every other primitive, the unit circle included, in primitive order, and
-    `shapes` the segments and disks among them.
+    `boxes[k]` is (xmin, xmax, ymin, ymax) over the points of block k,
+    `points[k * _BLOCK : (k + 1) * _BLOCK]`, `point_set` holds the points,
+    `others` the (index, primitive) pairs of every other primitive, the unit
+    circle included, in primitive order, and `shapes` the segments and disks
+    among them.
     """
 
     def __init__(self, primitives: tuple[Primitive, ...]):
@@ -356,13 +392,31 @@ class PointIndex:
         self.moduli = [m for m, _ in ranked]
         self.slots = [i for _, i in ranked]
         self.points = [primitives[i].p for i in self.slots]
+        # block k holds points[k * _BLOCK : (k + 1) * _BLOCK]; ups[k] and
+        # downs[k] run through it in scan order, and each list ends with an
+        # empty run that stands for the block past its end
+        n = len(self.points)
+        self.ups = [range(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
+        self.downs = [js[::-1] for js in self.ups] + [range(-1, -1, -1)]
+        self.boxes = []
+        for js in self.ups:
+            xs, ys = [self.points[j].real for j in js], [self.points[j].imag for j in js]
+            self.boxes.append((min(xs), max(xs), min(ys), max(ys)))
+        self.ups.append(range(n, n))
         self.point_set = frozenset(self.points)
         self.others = [(i, prim) for i, prim in enumerate(primitives) if not isinstance(prim, SinglePoint)]
         self.shapes = [prim for _, prim in self.others if not isinstance(prim, UnitCircle)]
 
     def between(self, lo: float, hi: float) -> list[int]:
-        """Primitive indices of the points with lo <= |p| <= hi, the window widened by _SLACK * hi."""
-        pad = abs(hi) * _SLACK
+        """Primitive indices of the points with lo <= |p| <= hi, the window
+        widened by hi * _SLACK + _SLACK_TINY.
+
+        A caller passes [lo, hi] holding the exact modulus of every point it
+        needs to within 20u * hi and a few 2^-1074 (u = 2^-53).  The stored
+        modulus m = fl|p| adds 2u and 2^-1074, and the two bisection bounds
+        lose 3u * hi more, far within the widening of 8192u * hi + 2^-1050.
+        """
+        pad = abs(hi) * _SLACK + _SLACK_TINY
         return self.slots[bisect_left(self.moduli, lo - pad) : bisect_right(self.moduli, hi + pad)]
 
     def scan(self, z: complex, bound: float) -> tuple[float, list[tuple[float, int, complex]]]:
@@ -370,25 +424,71 @@ class PointIndex:
         nearest point, and hits holds (|z - p|, index, p) for every point p
         whose computed distance can come within rounding of d.
 
-        The scan runs outward from |z| in both directions, lowers bound to
-        each nearer distance it meets, and stops once ||z| - |p|| exceeds
-        bound, widened by _SLACK * (bound + |z|); the bound it ends with is
-        d.  That widening, relative 1e-9, lies far past the 32 ulps of the
-        float filter of nearest_boundary, so every candidate the filter
-        keeps is among the hits.
+        The first point, the origin when it is registered, seeds bound: the
+        downward scan would reach it last.  The scan then runs outward from
+        |z| in both directions and lowers bound to each nearer distance it
+        meets.  It reads the block holding |z| in each direction point by
+        point; it stops at the first point, and so at the first later block,
+        whose ||z| - |p|| exceeds lim = bound + (bound + |z|) * _SLACK +
+        _SLACK_TINY, and skips each later block whose box lies farther than
+        lim from z.  The bound it ends with is d.  The proofs next to _SLACK
+        and below show that both tests drop only points beyond the float
+        filter of nearest_boundary, so every candidate it keeps is a hit.
         """
         r = abs(z)
-        ms, pts, slots = self.moduli, self.points, self.slots
-        out = []
+        ms, pts, slots, ups, downs = self.moduli, self.points, self.slots, self.ups, self.downs
+        if pts:
+            d0 = abs(z - pts[0])
+            if d0 < bound:
+                bound = d0
+        lim = bound + (bound + r) * _SLACK + _SLACK_TINY
         mid = bisect_left(ms, r)
-        for js in (range(mid, len(ms)), range(mid - 1, -1, -1)):
-            for j in js:
-                if not abs(ms[j] - r) <= bound + (bound + r) * _SLACK:
-                    break
-                dist = abs(z - pts[j])
-                out.append((dist, slots[j], pts[j]))
-                if dist < bound:
-                    bound = dist
+        up, down = mid // _BLOCK, (mid - 1) // _BLOCK
+        out = []
+        # (rest of the block holding |z|, its block, step, end, runs) per direction
+        for js, k, step, stop, runs in (
+            (range(mid, ups[up].stop), up, 1, len(ups) - 1, ups),
+            (range(mid - 1, downs[down].stop, -1), down, -1, -1, downs),
+        ):
+            while js:
+                for j in js:
+                    if not abs(ms[j] - r) <= lim:
+                        break
+                    dist = abs(z - pts[j])
+                    out.append((dist, slots[j], pts[j]))
+                    if dist < bound:
+                        bound = dist
+                        lim = bound + (bound + r) * _SLACK + _SLACK_TINY
+                else:
+                    # the run is spent: go on to the next block that passes
+                    # the modulus test on its nearest point and the box test
+                    js = None
+                    x, y = z.real, z.imag
+                    for k in range(k + step, stop, step):
+                        if not abs(ms[runs[k][0]] - r) <= lim:
+                            break
+                        # The box is the exact extent of the block's stored
+                        # coordinates, so every p in it has |z - p| >= B, the
+                        # exact distance from z to the box.  The computed dx,
+                        # dy exceed its legs by at most u relative, and a
+                        # square rounds by u relative or, below the normal
+                        # range, by 2^-1075, so fl(dx^2) + fl(dy^2) <= B^2
+                        # (1 + u)^3 + 2^-1074.  A skip needs fl(lim^2) >
+                        # 2^-1000, so both sides are normal numbers and
+                        #     B^2 (1 + u)^4 + 2^-1073 > fl(sum) > fl(lim^2) >= lim^2 (1 - u),
+                        # where 2^-1073 < 2^-72 lim^2; so B > lim (1 - 3u) >=
+                        # bound (1 + _SLACK)(1 - 6u) + 2^-1051 > T of _SLACK,
+                        # and the block holds no candidate.  Where lim^2 is
+                        # smaller, a square rounding up by half its subnormal
+                        # grid could decide the test, so no block is skipped.
+                        x0, x1, y0, y1 = self.boxes[k]
+                        dx = x0 - x if x < x0 else x - x1 if x > x1 else 0.0
+                        dy = y0 - y if y < y0 else y - y1 if y > y1 else 0.0
+                        if not dx * dx + dy * dy > lim * lim > 2.0**-1000:
+                            js = runs[k]
+                            break
+                    continue
+                break
         return bound, out
 
     def window(self, a: complex, d: float) -> tuple[tuple[float, float], ...]:
@@ -399,6 +499,14 @@ class PointIndex:
         smallest log gap from d to one of their intervals.  A point p can
         only do as well if d/rho <= |a - p| <= d rho, so its modulus lies in
         [max(|a| - d rho, d/rho - |a|), |a| + d rho].
+
+        Rounding: a point whose computed gap fl(s/d) or fl(d/s) from its
+        computed distance s is at most rho has s <= reach (1 + 3u) and s >=
+        fl(d/rho) (1 - 3u), with reach = fl(d rho); its exact distance lies
+        within 3u of s and |a| within 2u of r.  So |p| <= |a| + |a - p| and
+        |p| >= max(|a| - |a - p|, |a - p| - |a|) put its exact modulus within
+        about 12u * (r + reach) of the window below, and between() absorbs
+        that.
         """
         r = abs(a)
         found = {i: prim.distance_interval(a) for i, prim in self.others}
@@ -746,7 +854,10 @@ def first_boundary_hit(spec: DomainSpec, path: ArcRadialPath) -> complex:
     """
     idx = spec.point_index
     for piece in path.pieces:
-        # a point hit lies within HIT_TOL of the piece, whose moduli span [lo, hi]
+        # a point hit lies within HIT_TOL of the piece, whose moduli span [lo,
+        # hi], up to rounding that between() absorbs: a computed point w of the
+        # piece has a modulus within 6u * hi of [lo, hi], and a hit needs a
+        # computed |w - p| <= HIT_TOL, so an exact one within 4u of it
         if isinstance(piece, ArcPiece):
             lo = hi = piece.radius
         else:

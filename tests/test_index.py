@@ -32,10 +32,10 @@ from hypbound import (
     log_distance_to_set,
     nearest_boundary,
 )
-from hypbound.geometry import _FILTER, _TINY, _piece_hits, obstacle_gap
+from hypbound.geometry import _BLOCK, _FILTER, _TINY, _piece_hits, obstacle_gap
 from hypbound.halving import CertificateError, _interior_circle_point
 
-from conftest import boundary_points, exact_sq_distance, mirror, nudge
+from conftest import bench_domain, boundary_points, exact_sq_distance, mirror, nudge
 
 # ---------------------------------------------------------------------------
 # brute-force references
@@ -126,12 +126,17 @@ def user_primitives(draw):
 
 @st.composite
 def specs(draw):
-    kind = draw(st.sampled_from(["geometric", "spiral", "mirrored", "user", "bare"]))
+    kind = draw(st.sampled_from(["geometric", "spiral", "mirrored", "ray", "user", "bare"]))
     if kind == "bare":
         return DomainSpec.bare(draw(user_primitives()), include_origin=draw(st.booleans()))
-    count = draw(st.integers(1, 150))
+    # up to a dozen blocks of the point index, so that later blocks meet the box test
+    count = draw(st.integers(1, 400))
     if kind in ("geometric", "user"):
         seq = SequenceSpec.geometric(draw(st.floats(0.05, 0.9)), draw(st.floats(0.5, 0.99)), count)
+    elif kind == "ray":
+        # every point on one ray, like bench/specs/dense.json, at any angle
+        scale, ratio, theta = draw(st.floats(0.05, 0.9)), draw(st.floats(0.5, 0.99)), draw(angles)
+        seq = SequenceSpec.explicit(cmath.rect(scale * ratio**n, theta) for n in range(count))
     else:
         # off-axis explicit spiral; mirrored adds its conjugates, so queries
         # on the real axis tie pairs of points exactly
@@ -149,16 +154,22 @@ def spec_points(spec):
 
 @st.composite
 def spec_and_point(draw):
-    """A spec and a query point: uniform, log-uniform deep, or hugging a point
-    of the spec at a relative gap in [1e-12, 1e-1]; uniform and deep points
-    land on the real axis a quarter of the time."""
+    """A spec and a query point: uniform, log-uniform deep, hugging a point
+    of the spec at a relative gap in [1e-12, 1e-1], or log-uniform in the
+    open half-plane facing away from the largest sequence point, where the
+    origin is nearest when every point lies on its ray; uniform and deep
+    points land on the real axis a quarter of the time."""
     spec = draw(specs())
     pts = spec_points(spec)
-    kind = draw(st.sampled_from(["uniform", "deep", "hug"] if pts else ["uniform", "deep"]))
+    kind = draw(st.sampled_from(["uniform", "deep", "hug", "opposite"] if pts else ["uniform", "deep"]))
     if kind == "hug":
         p = draw(st.sampled_from(pts))
         gap = 10.0 ** draw(st.floats(-12.0, -1.0)) * (abs(p) or 1.0)
         return spec, p + cmath.rect(gap, draw(angles))
+    if kind == "opposite":
+        away = cmath.phase(spec.sequence.largest if spec.sequence else max(pts, key=abs)) + math.pi
+        turn = draw(st.floats(-1.5, 1.5))
+        return spec, cmath.rect(10.0 ** draw(st.floats(-12.0, -0.01)), away + turn)
     if kind == "uniform":
         z = complex(draw(unit), draw(unit))
     else:
@@ -231,6 +242,91 @@ def test_nearest_boundary(case):
         return
     nb = nearest_boundary(spec, z)
     assert (nb.z, nb.d, nb.witnesses) == (z, *linear_nearest(spec, z))
+
+
+def assert_linear(spec, z):
+    """Every indexed point query at z returns the floats of a linear scan."""
+    assert contains(spec, z) is linear_contains(spec, z)
+    if linear_contains(spec, z) is Membership.IN_G:
+        d, witnesses = linear_nearest(spec, z)
+        if d == 0.0:
+            # a witness rounded onto z
+            with pytest.raises(NotInDomain):
+                nearest_boundary(spec, z)
+        else:
+            nb = nearest_boundary(spec, z)
+            assert (nb.d, nb.witnesses) == (d, witnesses)
+    assert boundary_gap(spec, z) == linear_gap(spec, z)
+    assert obstacle_gap(spec, z) == min((prim.set_distance(z) for prim in spec.obstacles), default=math.inf)
+
+
+def test_origin_query_reads_two_blocks():
+    # 0 is nearest at -0.05-0.3i, so the modulus window holds every point of
+    # dense.json below 2|z|; the boxes leave the block holding |z| and that of 0
+    spec, _ = bench_domain("dense.json")
+    z = complex(-0.05, -0.3)
+    d, hits = spec.point_index.scan(z, 1.0)
+    assert len(hits) <= 2 * _BLOCK
+    assert d == abs(z) and (d, len(spec.primitives) - 2, 0j) in hits
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec.bare(),
+    DomainSpec.bare([ObstacleDisk(complex(0.3, 0.1), 0.1), Segment(-0.5j, complex(-0.2, -0.5))]),
+    DomainSpec.bare(include_origin=True),
+    DomainSpec.bare([SinglePoint(complex(0.3, -0.2))]),
+    DomainSpec.build([], SequenceSpec.explicit([complex(-0.4, 0.1)])),
+], ids=["empty", "shapes only", "origin only", "one point", "one point and the origin"])
+def test_index_without_blocks_to_skip(spec):
+    # the seed of the scan reads the first point only when there is one
+    idx = spec.point_index
+    if not idx.points:
+        assert idx.scan(0.5j, 0.25) == (0.25, [])
+    for z in (0.5j, complex(-0.4, 0.1000001), complex(0.3, -0.2), complex(-0.01, 0.0), complex(0.0, -0.9)):
+        assert_linear(spec, z)
+
+
+def test_queries_on_box_edges():
+    # z on an edge or at a corner of every block's box, and inside the
+    # degenerate boxes of points on the real axis
+    spiral = SequenceSpec.explicit(cmath.rect(0.6 * 0.97**n, 0.05 * n) for n in range(300))
+    axis = SequenceSpec.geometric(0.6, 0.97, 300)
+    for seq in (spiral, axis):
+        spec = DomainSpec.build([], seq)
+        for x0, x1, y0, y1 in spec.point_index.boxes:
+            xm, ym = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+            for z in {complex(x, y) for x in (x0, xm, x1) for y in (y0, ym, y1)}:
+                assert_linear(spec, z)
+
+
+def test_subnormal_points_and_queries():
+    ray = [cmath.rect(0.5 * 0.9**n, 1.0) for n in range(100)]
+    for origin in (False, True):
+        spec = DomainSpec.bare(
+            [SinglePoint(p) for p in ray + [5e-324 + 0j, complex(1e-310, -2e-310), complex(-3e-320, 4e-320)]],
+            include_origin=origin,
+        )
+        for z in (complex(3e-323, 1e-323), complex(-1e-310, 1e-310), complex(2e-308, 0.0),
+                  complex(0.0, 5e-324), complex(1e-310, -1.9e-310), complex(-5e-324, -5e-324), 1e-300j):
+            assert_linear(spec, z)
+
+
+def test_box_test_near_the_subnormal_squares():
+    # At the scale g = 2^-537, squares are subnormal multiples of g^2: the
+    # box of the last block, a single point at 1.095g from z, has legs of
+    # 0.6 g^2 that each round up to g^2, so its squared distance reads 2 g^2
+    # against the 1.3 g^2 of the bound 1.14g set by q, which rounds to g^2.
+    # The box test must not skip the block on those squares.
+    g = 2.0**-537
+    z = complex(10.0 * g, 0.0)
+    q = z + cmath.rect(1.14 * g, math.radians(80.0))
+    star = z + complex(0.7746 * g, 0.7746 * g)
+    pts = [complex(0.0, -0.1 * k * g) for k in range(1, 33)]
+    pts += [q] + [complex(0.0, (10.0 + 0.02 * k) * g) for k in range(1, 32)] + [star]
+    spec = DomainSpec.bare([SinglePoint(p) for p in pts])
+    assert spec.point_index.points[2 * _BLOCK :] == [star]
+    assert obstacle_gap(spec, z) == abs(z - star) < abs(z - q)
+    assert_linear(spec, z)
 
 
 @given(spec_and_point())

@@ -93,7 +93,7 @@ def invocations(fixtures: Path) -> list[list[str]]:
         # ring.json the first of these reaches b on the disk
         *(["certify", spiral, f"--z={z}"] for z in ("-0.0328,-0.0121", "0.0024,-0.0124", "0.0045,0.0001")),
         *(["certify", str(fixtures / "ring.json"), f"--z={z}"] for z in ("0.0115,-0.0289", "0.0392,-0.0484", "0.0012,-0.0155")),
-        # dense.json through the modulus index: near-ties of the origin with
+        # dense.json through the point index: near-ties of the origin with
         # 169, 368 and 1252 sequence points within relative 1e-9 of d
         # (DeepComparable, FarFromE, FarFromE), which the exact witness rule
         # resolves to the origin alone; then DeepSmallGap, and DeepComparable
@@ -102,6 +102,9 @@ def invocations(fixtures: Path) -> list[list[str]]:
         *([cmd, dense, f"--z={z}"] for z in ("-0.05,-0.3", "0,0.3") for cmd in ("bounds", "certify")),
         ["certify", dense, "--z=0.0031,0.0002"],
         ["certify", dense, "--z=-0.004,0.003"],
+        # deep on dense.json through the boxes of the point index: the origin
+        # nearest, then hugging the axis of the points
+        *([cmd, dense, f"--z={z}"] for z in ("-0.0031,0.0002", "0.00031,-0.00002") for cmd in ("bounds", "certify")),
         # within about 1e-8 of the unit circle: the log ratio of the rounded
         # chord partner is about 1e-9, inside the CircleNearest cap ln 2
         ["certify", demo, "--z=0.94723317263975,-0.32054529899594186"],
