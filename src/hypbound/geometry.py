@@ -392,16 +392,16 @@ class PointIndex:
         self.moduli = [m for m, _ in ranked]
         self.slots = [i for _, i in ranked]
         self.points = [primitives[i].p for i in self.slots]
-        # block k holds points[k * _BLOCK : (k + 1) * _BLOCK]; ups[k] and
-        # downs[k] run through it in scan order, and each list ends with an
-        # empty run that stands for the block past its end
+        # ups[k] and downs[k] run through block k in scan order; each list
+        # ends with an empty run that stands for the block past its end
         n = len(self.points)
         self.ups = [range(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
         self.downs = [js[::-1] for js in self.ups] + [range(-1, -1, -1)]
+        xs, ys = [p.real for p in self.points], [p.imag for p in self.points]
         self.boxes = []
         for js in self.ups:
-            xs, ys = [self.points[j].real for j in js], [self.points[j].imag for j in js]
-            self.boxes.append((min(xs), max(xs), min(ys), max(ys)))
+            bx, by = xs[js.start : js.stop], ys[js.start : js.stop]
+            self.boxes.append((min(bx), max(bx), min(by), max(by)))
         self.ups.append(range(n, n))
         self.point_set = frozenset(self.points)
         self.others = [(i, prim) for i, prim in enumerate(primitives) if not isinstance(prim, SinglePoint)]

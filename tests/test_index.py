@@ -312,11 +312,11 @@ def test_subnormal_points_and_queries():
 
 
 def test_box_test_near_the_subnormal_squares():
-    # At the scale g = 2^-537, squares are subnormal multiples of g^2: the
-    # box of the last block, a single point at 1.095g from z, has legs of
-    # 0.6 g^2 that each round up to g^2, so its squared distance reads 2 g^2
-    # against the 1.3 g^2 of the bound 1.14g set by q, which rounds to g^2.
-    # The box test must not skip the block on those squares.
+    # At the scale g = 2^-537 squares are subnormal multiples of g^2.  The
+    # last block holds one point, 1.095g from z; the squares of its box's
+    # legs, 0.6 g^2 each, round up to g^2, so its squared distance reads
+    # 2 g^2, while the square of the bound 1.14g that q sets, 1.3 g^2,
+    # rounds down to g^2.  The box test must not skip the block on those.
     g = 2.0**-537
     z = complex(10.0 * g, 0.0)
     q = z + cmath.rect(1.14 * g, math.radians(80.0))
