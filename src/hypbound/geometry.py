@@ -59,8 +59,8 @@ _BLOCK = 32        # points per bounding box of the point index
 # clear both with room, and _SLACK stays small: a point within r * 2^-40 of
 # the exactly nearest distance r still enters a window, so a wider slack
 # lets the near-origin points of a sequence into every scan whose nearest
-# point is the origin (relative 1e-9 admitted about 370 of them on
-# bench/specs/dense.json).
+# point is the origin (on bench/specs/dense.json such a scan reads about 64
+# points, and about 370 with a relative 1e-9).
 #
 # The scan of PointIndex.scan must visit every point p whose computed
 # distance c = abs(z - p) can pass the float filter of nearest_boundary
