@@ -287,15 +287,19 @@ def test_index_without_blocks_to_skip(spec):
 
 
 def test_queries_on_box_edges():
-    # z on an edge or at a corner of every block's box, and inside the
-    # degenerate boxes of points on the real axis
+    # z at a corner, on an edge or inside every block's box (degenerate for
+    # the points on the real axis), and on the lines through its edges at
+    # moduli far from the block's, where the block meets the box test
     spiral = SequenceSpec.explicit(cmath.rect(0.6 * 0.97**n, 0.05 * n) for n in range(300))
     axis = SequenceSpec.geometric(0.6, 0.97, 300)
     for seq in (spiral, axis):
         spec = DomainSpec.build([], seq)
         for x0, x1, y0, y1 in spec.point_index.boxes:
             xm, ym = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-            for z in {complex(x, y) for x in (x0, xm, x1) for y in (y0, ym, y1)}:
+            on_box = {complex(x, y) for x in (x0, xm, x1) for y in (y0, ym, y1)}
+            lines = (-0.5, 0.05, 0.4)
+            on_lines = {complex(x, y) for x in (x0, x1) for y in lines} | {complex(x, y) for y in (y0, y1) for x in lines}
+            for z in on_box | on_lines:
                 assert_linear(spec, z)
 
 
