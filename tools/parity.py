@@ -105,6 +105,9 @@ def invocations(fixtures: Path) -> list[list[str]]:
         # deep on dense.json through the boxes of the point index: the origin
         # nearest, then hugging the axis of the points
         *([cmd, dense, f"--z={z}"] for z in ("-0.0031,0.0002", "0.00031,-0.00002") for cmd in ("bounds", "certify")),
+        # FarFromE on dense.json: the modulus band of each witness's window
+        # holds every point, which the block boxes prune
+        *(["bounds", dense, f"--z={z}"] for z in ("0.3,0.4", "0.3,-0.45")),
         # within about 1e-8 of the unit circle: the log ratio of the rounded
         # chord partner is about 1e-9, inside the CircleNearest cap ln 2
         ["certify", demo, "--z=0.94723317263975,-0.32054529899594186"],
