@@ -14,7 +14,7 @@ with the absolute constant kappa = 4 + ln(3 + 2*sqrt(2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .geometry import DomainSpec, NearestBoundary, _ratio_gap, distance_set, nearest_boundary
 
@@ -89,4 +89,4 @@ def bp_bounds(spec: DomainSpec, z: complex, nb: NearestBoundary | None = None) -
     upper = (KAPPA + math.pi / 4.0) / denom
     if not lower <= upper:
         raise ArithmeticError(f"lower bound {lower} exceeds upper bound {upper} at z = {z}")
-    return replace(r, lower=lower, upper=upper)
+    return BPBounds(r.L, r.d, r.witness_a, r.witness_s, lower, upper)

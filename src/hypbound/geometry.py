@@ -407,9 +407,9 @@ class PointIndex:
         self.others = [(i, prim) for i, prim in enumerate(primitives) if not isinstance(prim, SinglePoint)]
         self.shapes = [prim for _, prim in self.others if not isinstance(prim, UnitCircle)]
 
-    def between(self, lo: float, hi: float) -> list[int]:
-        """Primitive indices of the points with lo <= |p| <= hi, the window
-        widened by hi * _SLACK + _SLACK_TINY.
+    def band(self, lo: float, hi: float) -> tuple[int, int]:
+        """(start, stop): the positions j of the points with lo <= moduli[j]
+        <= hi, the window widened by hi * _SLACK + _SLACK_TINY.
 
         A caller passes [lo, hi] holding the exact modulus of every point it
         needs to within 20u * hi and a few 2^-1074 (u = 2^-53).  The stored
@@ -417,7 +417,12 @@ class PointIndex:
         lose 3u * hi more, far within the widening of 8192u * hi + 2^-1050.
         """
         pad = abs(hi) * _SLACK + _SLACK_TINY
-        return self.slots[bisect_left(self.moduli, lo - pad) : bisect_right(self.moduli, hi + pad)]
+        return bisect_left(self.moduli, lo - pad), bisect_right(self.moduli, hi + pad)
+
+    def between(self, lo: float, hi: float) -> list[int]:
+        """Primitive indices of the points of band(lo, hi)."""
+        start, stop = self.band(lo, hi)
+        return self.slots[start:stop]
 
     def scan(self, z: complex, bound: float) -> tuple[float, list[tuple[float, int, complex]]]:
         """(d, hits): d is the smaller of bound and the distance from z to the
@@ -498,15 +503,19 @@ class PointIndex:
         |a| - d and d - |a| seed the best ratio rho = e^b, where b is the
         smallest log gap from d to one of their intervals.  A point p can
         only do as well if d/rho <= |a - p| <= d rho, so its modulus lies in
-        [max(|a| - d rho, d/rho - |a|), |a| + d rho].
+        the band [max(|a| - d rho, d/rho - |a|), |a| + d rho], and it lies in
+        the annulus about a with those radii.  The band is read block by
+        block: a block whose box lies wholly outside the outer circle, or
+        whose farthest corner lies inside the inner one, is skipped, and the
+        points of every other block in the band are read one by one.
 
         Rounding: a point whose computed gap fl(s/d) or fl(d/s) from its
         computed distance s is at most rho has s <= reach (1 + 3u) and s >=
         fl(d/rho) (1 - 3u), with reach = fl(d rho); its exact distance lies
         within 3u of s and |a| within 2u of r.  So |p| <= |a| + |a - p| and
         |p| >= max(|a| - |a - p|, |a - p| - |a|) put its exact modulus within
-        about 12u * (r + reach) of the window below, and between() absorbs
-        that.
+        about 12u * (r + reach) of the band below, and band() absorbs that.
+        The proof of the box tests is next to them.
         """
         r = abs(a)
         found = {i: prim.distance_interval(a) for i, prim in self.others}
@@ -518,9 +527,52 @@ class PointIndex:
             _ratio_gap(d, *iv)
             for iv in (*found.values(), *(self.primitives[i].distance_interval(a) for i in seeds))
         )
-        reach = d * rho
-        for i in self.between(max(r - reach, d / rho - r), r + reach):
-            found[i] = self.primitives[i].distance_interval(a)
+        reach, near = d * rho, d / rho
+        start, stop = self.band(max(r - reach, near - r), r + reach)
+        # The box is the exact extent of the block's stored coordinates, so
+        # every p in it has B <= |a - p| <= F, the exact distances from a to
+        # the box and to its farthest corner.  By the docstring and the
+        # hypot bound of _FILTER, a point that can enter has
+        #     near (1 - 7u) - 2^-1074 <= |a - p| <= reach (1 + 7u) + 2^-1073.
+        # Each test skips only where its radius squared exceeds 2^-1000, so
+        # the radius exceeds 2^-501, scaling it by _SLACK is exact, and the
+        # 2^-1073 that subnormal squares and sums can lose is below 2^-72 of
+        # that square.
+        # - Outer: out = reach + reach * _SLACK + _SLACK_TINY as computed is
+        #   at least reach (1 + _SLACK)(1 - 2u).  As in scan, fl(dx^2) +
+        #   fl(dy^2) <= B^2 (1 + u)^3 + 2^-1074, so a skip has B^2 (1 + u)^4
+        #   + 2^-1073 > fl(out^2) >= out^2 (1 - u), B > out (1 - 3u) >=
+        #   reach (1 + _SLACK)(1 - 5u) > reach (1 + 7u) + 2^-1073, and no
+        #   point of the block can enter.
+        # - Inner: F needs a bound that rounds upward.  fx, fy are its legs
+        #   rounded (the larger of two differences stays the larger), at
+        #   least the legs times 1 - u; a square loses at most u relative
+        #   and 2^-1075, a sum of two non-negative terms u relative, so
+        #   fl(fx^2 + fy^2) >= F^2 (1 - u)^4 - 2^-1074 and a skip has
+        #       F^2 <= (fl(fx^2 + fy^2) + 2^-1074)(1 + 5u) < (fl(inn^2) + 2^-1074)(1 + 5u) <= inn^2 (1 + 7u).
+        #   inn = near - near * _SLACK - _SLACK_TINY as computed is at most
+        #   near (1 - _SLACK)(1 + 3u), so F < near (1 - _SLACK)(1 + 8u) <
+        #   near (1 - 7u) - 2^-1074: no point of the block can enter.
+        # Below 2^-1000 a square rounding by half its subnormal grid could
+        # decide a test (see scan), so no block is skipped.
+        out = reach + reach * _SLACK + _SLACK_TINY
+        inn = near - near * _SLACK - _SLACK_TINY
+        out2, inn2 = out * out, inn * inn
+        x, y = a.real, a.imag
+        prims, slots = self.primitives, self.slots
+        for k in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
+            x0, x1, y0, y1 = self.boxes[k]
+            dx = x0 - x if x < x0 else x - x1 if x > x1 else 0.0
+            dy = y0 - y if y < y0 else y - y1 if y > y1 else 0.0
+            if dx * dx + dy * dy > out2 > 2.0**-1000:
+                continue
+            fx = x1 - x if x1 - x > x - x0 else x - x0
+            fy = y1 - y if y1 - y > y - y0 else y - y0
+            if fx * fx + fy * fy < inn2 and inn > 2.0**-500:
+                continue
+            lo, hi = k * _BLOCK, k * _BLOCK + _BLOCK
+            for i in slots[start if start > lo else lo : stop if stop < hi else hi]:
+                found[i] = prims[i].distance_interval(a)
         return tuple(found[i] for i in sorted(found))
 
 

@@ -32,7 +32,7 @@ from hypbound import (
     log_distance_to_set,
     nearest_boundary,
 )
-from hypbound.geometry import _BLOCK, _FILTER, _TINY, _piece_hits, obstacle_gap
+from hypbound.geometry import _BLOCK, _FILTER, _TINY, _piece_hits, _ratio_gap, obstacle_gap
 from hypbound.halving import CertificateError, _interior_circle_point
 
 from conftest import bench_domain, boundary_points, exact_sq_distance, mirror, nudge
@@ -367,6 +367,79 @@ def test_pruned_distance_set(case, log_d):
                 continue
             assert is_subsequence(near, full)
             assert log_distance_to_set(d, near) == log_distance_to_set(d, full)
+
+
+def assert_window(spec, a, d):
+    """window(a, d) is a subsequence of the linear distance set of a that
+    keeps every interval at the smallest log gap from d."""
+    full, near = distance_set(spec, a), spec.point_index.window(a, d)
+    best = min(_ratio_gap(d, *iv) for iv in full)
+    assert is_subsequence(near, full)
+    assert [iv for iv in near if _ratio_gap(d, *iv) == best] == [iv for iv in full if _ratio_gap(d, *iv) == best]
+    assert log_distance_to_set(d, near) == log_distance_to_set(d, full)
+
+
+def test_far_from_e_window_reads_one_block():
+    # At 0.3+0.4i the nearest point a lies on the ray of the points and the
+    # best match is 0 at |a|, so the modulus band of the window holds every
+    # point; the boxes leave the block of 0 and at most one more
+    spec = DomainSpec.build([], SequenceSpec.geometric(0.5, 0.99, 2300))
+    idx = spec.point_index
+    nb = nearest_boundary(spec, complex(0.3, 0.4))
+    for _, a in nb.witnesses:
+        assert len(idx.window(a, nb.d)) <= len(idx.others) + 2 * _BLOCK
+        assert_window(spec, a, nb.d)
+
+
+def test_window_keeps_blocks_on_its_radii():
+    # a = 0.5, d = 0.25: the unit circle sets rho = 2, so the radii are 0.125
+    # and 0.5.  One block lies beyond 0.5 + 0.5i, its near edge at exactly 0.5
+    # from a; one lies on [0.375, 0.4355], its far corner at exactly 0.125.
+    # Each holds a point tied with the unit circle, and both are kept.  The
+    # block of a lies within 0.03 of a and is skipped.
+    a, d = 0.5 + 0j, 0.25
+    outer = [complex(0.5, 0.5 + k / 256.0) for k in range(_BLOCK)]
+    inner = [complex(0.375 + k / 512.0, 0.0) for k in range(_BLOCK)]
+    near_a = [a + complex(0.0, k / 1024.0) for k in range(_BLOCK)]
+    for pts in (outer + inner, inner, outer):
+        spec = DomainSpec.bare([SinglePoint(p) for p in pts + near_a])
+        assert len(spec.point_index.boxes) == len(pts) // _BLOCK + 1
+        assert_window(spec, a, d)
+        assert len(spec.point_index.window(a, d)) == len(pts) + 1
+
+
+@pytest.mark.parametrize("s, d, step", [
+    (float.fromhex("0x1.ad1673ceb3994p-4"), 0.15, 1.0),
+    (float.fromhex("0x1.cf8453bba7e2cp-3"), 0.17, -1.0),
+], ids=["inner", "outer"])
+def test_window_radii_rounded_past_the_best_match(s, d, step):
+    # a = 0.5 and its best match p = a - s, which sets rho; fl(d / rho) rounds
+    # above s (inner) or fl(d * rho) below s (outer).  The other points of
+    # p's block lie on the real axis between p and a, or beyond p, so p is
+    # the block's far corner or near edge, and only the slack keeps it.
+    a, p = 0.5 + 0j, complex(0.5 - s, 0.0)
+    assert abs(a - p) == s and (d / (d / s) > s if step > 0 else d * (s / d) < s)
+    pts = [p] + [p + step * k * s / 64.0 for k in range(1, _BLOCK)] + [a]
+    spec = DomainSpec.bare([SinglePoint(q) for q in pts])
+    assert spec.point_index.points[_BLOCK:] == [a]
+    assert_window(spec, a, d)
+
+
+@pytest.mark.parametrize("leg", [0.7, 0.7746])
+def test_window_near_the_subnormal_squares(leg):
+    # At the scale g = 2^-537 squares are subnormal multiples of g^2.  The
+    # last block holds one point c, leg * (1 + i) g from a, and d = |a - c|,
+    # so c is the best match and both radii lie within rounding of |a - c|.
+    # With leg 0.7746 the squares of the box's legs, 0.6 g^2 each, round up
+    # to g^2 while that of the outer radius, 1.2 g^2, rounds down; with leg
+    # 0.7 they round down to 0 while that of the inner radius, 0.98 g^2,
+    # rounds up.  Neither box test may skip the block on those.
+    g = 2.0**-537
+    a = complex(10.0 * g, 0.0)
+    c = a + complex(leg * g, leg * g)
+    spec = DomainSpec.bare([SinglePoint(complex(0.0, -0.1 * k * g)) for k in range(1, _BLOCK + 1)] + [SinglePoint(c)])
+    assert spec.point_index.points[_BLOCK:] == [c]
+    assert_window(spec, a, abs(a - c))
 
 
 @given(spec_and_point(), st.data())
