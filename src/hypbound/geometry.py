@@ -22,10 +22,12 @@ modulus lies in a window around |z|: `contains` looks the point up,
 box lies farther from z than that distance, `first_boundary_hit` takes the
 points within HIT_TOL of an arc's radius or a radial run's range, and
 `distance_set(spec, a, near=d)` keeps the points whose |a - p| can lie as
-close to d as the best match found.  Every window and box test is widened
-by _SLACK = 2^-40 times its scale plus _SLACK_TINY, a margin proved next to
-each of them to exceed the rounding of the computed moduli and distances,
-so the indexed answers are the floats a scan over every primitive returns.
+close to d as the best match found: it reads the boxes too, and skips every
+block of its window whose box lies wholly outside the annulus about a of
+those distances.  Every window and box test is widened by _SLACK = 2^-40
+times its scale plus _SLACK_TINY, a margin proved next to each of them to
+exceed the rounding of the computed moduli and distances, so the indexed
+answers are the floats a scan over every primitive returns.
 
 The nearest witnesses of a point (Beardon-Pommerenke take the infimum
 over exactly nearest boundary points) pass a float filter that keeps the
@@ -549,7 +551,8 @@ class PointIndex:
         #   least the legs times 1 - u; a square loses at most u relative
         #   and 2^-1075, a sum of two non-negative terms u relative, so
         #   fl(fx^2 + fy^2) >= F^2 (1 - u)^4 - 2^-1074 and a skip has
-        #       F^2 <= (fl(fx^2 + fy^2) + 2^-1074)(1 + 5u) < (fl(inn^2) + 2^-1074)(1 + 5u) <= inn^2 (1 + 7u).
+        #       F^2 <= (fl(fx^2 + fy^2) + 2^-1074)(1 + 5u)
+        #           < (fl(inn^2) + 2^-1074)(1 + 5u) <= inn^2 (1 + 7u).
         #   inn = near - near * _SLACK - _SLACK_TINY as computed is at most
         #   near (1 - _SLACK)(1 + 3u), so F < near (1 - _SLACK)(1 + 8u) <
         #   near (1 - 7u) - 2^-1074: no point of the block can enter.

@@ -379,7 +379,7 @@ def assert_window(spec, a, d):
     assert log_distance_to_set(d, near) == log_distance_to_set(d, full)
 
 
-def test_far_from_e_window_reads_one_block():
+def test_far_from_e_window_reads_two_blocks():
     # At 0.3+0.4i the nearest point a lies on the ray of the points and the
     # best match is 0 at |a|, so the modulus band of the window holds every
     # point; the boxes leave the block of 0 and at most one more
