@@ -71,7 +71,26 @@ FIXTURES = {
         "primitives": [{"type": "disk", "cx": 0.5, "cy": 0.0, "r": 1e-16}],
         "sequence": {"type": "geometric", "delta": 0.25, "ratio": 0.5, "count": 40},
     },
+    # malformed specs, each rejected at load with exit 2
+    "listed_origin.json": {
+        "primitives": [{"type": "point", "x": 0.0, "y": 0.0}],
+        "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4},
+    },
+    "string_count.json": {
+        "primitives": [],
+        "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": "4"},
+    },
+    "no_points.json": {"primitives": [], "sequence": {"type": "explicit", "points": []}},
+    "extra_field.json": {
+        "primitives": [{"type": "point", "x": 0.3, "y": 0.0, "extra": 1}],
+        "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4},
+    },
+    "blob.json": {
+        "primitives": [{"type": "blob"}],
+        "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4},
+    },
 }
+MALFORMED = ("listed_origin.json", "string_count.json", "no_points.json", "extra_field.json", "blob.json")
 
 
 def invocations(fixtures: Path) -> list[list[str]]:
@@ -79,7 +98,7 @@ def invocations(fixtures: Path) -> list[list[str]]:
     return [
         *(["sweep", demo, "--n", "400", "--seed", seed, "--out", "out.csv"] for seed in ("1", "7", "42")),
         ["sweep", spiral, "--n", "300", "--seed", "3", "--out", "out.csv"],
-        ["sweep", dense, "--n", "15", "--seed", "2", "--out", "out.csv"],
+        ["sweep", dense, "--n", "400", "--seed", "2", "--out", "out.csv"],
         ["bounds", demo, "--z=0.35,0.1"],
         ["bounds", demo, "--z=0.35,0.1", "--csv"],
         # with the two DeepComparable and the DeepSmallGap runs below, a
@@ -118,6 +137,7 @@ def invocations(fixtures: Path) -> list[list[str]]:
         ["validate", str(fixtures / "violating.json")],
         ["validate", str(fixtures / "touching.json")],
         ["validate", str(fixtures / "rim.json")],
+        *(["validate", str(fixtures / name)] for name in MALFORMED),
         ["oracle-check", "--kind", "disk", "--n", "200", "--seed", "1"],
         ["oracle-check", "--kind", "punctured", "--n", "200", "--seed", "1"],
     ]
