@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import DomainSpec, NearestBoundary, _ratio_gap, distance_set, nearest_boundary
+from .geometry import DomainSpec, NearestBoundary, _ratio_gap, _reused_nearest, distance_set, nearest_boundary
 
 KAPPA = 4.0 + math.log(3.0 + 2.0 * math.sqrt(2.0))
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
@@ -68,10 +68,7 @@ def compute_L(spec: DomainSpec, z: complex, nb: NearestBoundary | None = None) -
     nb, when given, must be nearest_boundary(spec, z) for this z; a result
     for another point raises ValueError.
     """
-    if nb is None:
-        nb = nearest_boundary(spec, z)
-    elif nb.z != z:
-        raise ValueError(f"nearest-boundary result for {nb.z} passed for z = {z}")
+    nb = _reused_nearest(nb, z) or nearest_boundary(spec, z)
     best: tuple[float, complex, float] | None = None
     for _, a in nb.witnesses:
         val, sd = log_distance_to_set(nb.d, distance_set(spec, a, near=nb.d))

@@ -21,7 +21,7 @@ modulus lies in a window around |z|: `contains` looks the point up,
 |p|| is at most the best distance so far, and skip every later block whose
 box lies farther from z than that distance, `first_boundary_hit` takes the
 points within HIT_TOL of an arc's radius or a radial run's range, and
-`distance_set(spec, a, near=d)` keeps the points whose |a - p| can lie as
+`distance_set(spec, a, d)` keeps the points whose |a - p| can lie as
 close to d as the best match found: it reads the boxes too, and skips every
 block of its window whose box lies wholly outside the annulus about a of
 those distances.  Every window and box test is widened by _SLACK = 2^-40
@@ -190,9 +190,6 @@ class SinglePoint:
         r = abs(a - self.p)
         return (r, r)
 
-    def rotated(self, rot: complex) -> "SinglePoint":
-        return SinglePoint(self.p * rot)
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -225,9 +222,6 @@ class Segment:
         # distance along a connected set sweeps an interval; the max over a
         # segment is attained at an endpoint
         return (self.set_distance(a), max(abs(a - self.p), abs(a - self.q)))
-
-    def rotated(self, rot: complex) -> "Segment":
-        return Segment(self.p * rot, self.q * rot)
 
 
 @dataclass(frozen=True)
@@ -264,9 +258,6 @@ class ObstacleDisk:
     def distance_interval(self, a: complex) -> tuple[float, float]:
         r = abs(a - self.center)
         return (abs(r - self.radius), r + self.radius)
-
-    def rotated(self, rot: complex) -> "ObstacleDisk":
-        return ObstacleDisk(self.center * rot, self.radius)
 
 
 Primitive = UnitCircle | SinglePoint | Segment | ObstacleDisk
@@ -322,13 +313,13 @@ class SequenceSpec:
 
 def _check_user_primitives(primitives: Iterable[Primitive]) -> tuple[Primitive, ...]:
     user = tuple(primitives)
-    for prim in user:
+    for i, prim in enumerate(user):
         if isinstance(prim, UnitCircle):
-            raise SpecError("the unit circle is implicit and must not be listed")
+            raise SpecError(f"primitives[{i}]: the unit circle is implicit and must not be listed")
         if isinstance(prim, SinglePoint) and prim.p == 0:
-            raise SpecError("the origin obstacle is implicit and must not be listed")
+            raise SpecError(f"primitives[{i}]: the origin obstacle is implicit and must not be listed")
         if not isinstance(prim, (SinglePoint, Segment, ObstacleDisk)):
-            raise SpecError(f"unsupported primitive {prim!r}")
+            raise SpecError(f"primitives[{i}]: unsupported primitive {prim!r}")
     return user
 
 
@@ -499,7 +490,7 @@ class PointIndex:
         return bound, out
 
     def window(self, a: complex, d: float) -> tuple[tuple[float, float], ...]:
-        """The intervals of distance_set(spec, a, near=d), in primitive order.
+        """The intervals of distance_set(spec, a, d), in primitive order.
 
         The other primitives and the points whose moduli bracket |a| + d,
         |a| - d and d - |a| seed the best ratio rho = e^b, where b is the
@@ -579,16 +570,6 @@ class PointIndex:
         return tuple(found[i] for i in sorted(found))
 
 
-def rotate_domain(spec: DomainSpec, theta: float) -> DomainSpec:
-    """The domain rotated by e^{i theta} about the origin."""
-    rot = cmath.rect(1.0, theta)
-    user = tuple(p.rotated(rot) for p in spec.primitives[: spec.n_user])
-    if spec.sequence is not None:
-        seq = SequenceSpec.explicit(p * rot for p in spec.sequence.resolved_points)
-        return DomainSpec.build(user, seq)
-    return DomainSpec.bare(user, include_origin=0j in spec.point_index.point_set)
-
-
 # ---------------------------------------------------------------------------
 # membership and nearest boundary
 
@@ -651,6 +632,14 @@ def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
     return NearestBoundary(z, d, tuple(witnesses))
 
 
+def _reused_nearest(nb: NearestBoundary | None, z: complex) -> NearestBoundary | None:
+    """nb, a nearest_boundary result passed in for reuse at z, or None when
+    none was passed; a result for another point raises ValueError."""
+    if nb is not None and nb.z != z:
+        raise ValueError(f"nearest-boundary result for {nb.z} passed for z = {z}")
+    return nb
+
+
 def _exactly_nearest(z: complex, points: list[tuple[int, complex]]) -> list[tuple[int, complex]]:
     """The (index, point) pairs at the exactly smallest |z - p|.
 
@@ -692,23 +681,19 @@ def _ratio_gap(d: float, lo: float, hi: float) -> float:
     return s / d if s > d else d / s
 
 
-def distance_set(spec: DomainSpec, a: complex, near: float | None = None) -> tuple[tuple[float, float], ...]:
-    """Achievable-distance intervals {|a - b| : b in P} from the boundary point a.
-
-    Without `near`, one interval for each of spec.primitives, in primitive
-    order: the linear reference.  With `near=d` (d > 0, finite), only the
-    intervals that can come as close to d in log scale as the best one: a
-    subset in primitive order that holds every interval minimizing the log
-    gap to d, so log_distance_to_set(d, .) returns the same floats for both.
-    Both raise NotOnBoundary exactly when a lies farther than GEOM_TOL from
-    the boundary.
+def distance_set(spec: DomainSpec, a: complex, near: float) -> tuple[tuple[float, float], ...]:
+    """The achievable-distance intervals {|a - b| : b in P} from the boundary
+    point a that can come as close to near = d (d > 0, finite) in log scale
+    as the best one: of the one interval per primitive, the subset, in
+    primitive order, that holds every interval at the smallest log gap to d,
+    so log_distance_to_set(d, .) returns the floats it returns for all of
+    them.  Raises NotOnBoundary exactly when a lies farther than GEOM_TOL
+    from the boundary.
     """
-    if near is not None and not 0.0 < near < math.inf:
+    if not 0.0 < near < math.inf:
         raise ValueError("near must be a positive finite distance")
     if boundary_gap(spec, a) > GEOM_TOL:
         raise NotOnBoundary(f"point {a} is not on the boundary of G")
-    if near is None:
-        return tuple(prim.distance_interval(a) for prim in spec.primitives)
     return spec.point_index.window(a, near)
 
 
@@ -752,16 +737,6 @@ class ArcRadialPath:
     @property
     def pieces(self) -> tuple:
         return tuple(p for p in (self.arc, self.radial) if p is not None)
-
-    def point(self, t: float) -> complex:
-        """Global parametrization over [0, 1]; used by sampling cross-checks."""
-        t = min(max(t, 0.0), 1.0)
-        ps = self.pieces
-        if len(ps) == 1:
-            return ps[0].point(t)
-        if t <= 0.5:
-            return ps[0].point(2.0 * t)
-        return ps[1].point(2.0 * t - 1.0)
 
 
 def arc_then_radial(start: complex, target: complex) -> ArcRadialPath:
@@ -963,95 +938,86 @@ def primitive_clearance(a: Primitive, b: Primitive) -> float:
 # serialization
 
 
+def _object(entry, where: str, fields: tuple[str, ...]) -> None:
+    """Check that entry is a JSON object with no field outside `fields`."""
+    if not isinstance(entry, dict):
+        raise SpecError(f"{where}: must be an object")
+    extra = set(entry) - set(fields)
+    if extra:
+        raise SpecError(f"{where}: unexpected fields {sorted(extra)}")
+
+
 def _num(entry: dict, key: str, where: str) -> float:
     try:
         v = entry[key]
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise SpecError(f"{where}: missing field {key!r}") from e
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SpecError(f"{where}: field {key!r} must be a number")
     return float(v)
 
 
-def _primitive_from_dict(entry: dict, index: int) -> Primitive:
-    where = f"primitives[{index}]"
-    if not isinstance(entry, dict):
-        raise SpecError(f"{where}: must be an object")
-    kind = entry.get("type")
-    if kind == "point":
-        p = complex(_num(entry, "x", where), _num(entry, "y", where))
-        if p == 0:
-            raise SpecError(f"{where}: the origin obstacle is implicit and must not be listed")
-        prim: Primitive = SinglePoint(p)
-        allowed = {"type", "x", "y"}
-    elif kind == "segment":
-        prim = Segment(
-            complex(_num(entry, "x1", where), _num(entry, "y1", where)),
-            complex(_num(entry, "x2", where), _num(entry, "y2", where)),
-        )
-        allowed = {"type", "x1", "y1", "x2", "y2"}
-    elif kind == "disk":
-        prim = ObstacleDisk(
-            complex(_num(entry, "cx", where), _num(entry, "cy", where)),
-            _num(entry, "r", where),
-        )
-        allowed = {"type", "cx", "cy", "r"}
-    else:
-        raise SpecError(f"{where}: unknown primitive type {kind!r}")
-    extra = set(entry) - allowed
-    if extra:
-        raise SpecError(f"{where}: unexpected fields {sorted(extra)}")
-    return prim
+def _typed(entry, where: str, types: dict) -> tuple:
+    """The row of `types` for the "type" of entry, a JSON object; each row
+    starts with the fields, besides "type", that an entry of its type has."""
+    kind = entry.get("type") if isinstance(entry, dict) else None
+    if kind not in types and isinstance(entry, dict):
+        raise SpecError(f"{where}: unknown type {kind!r}")
+    # a non-object has no row, and _object rejects it
+    row = types.get(kind, ((),))
+    _object(entry, where, ("type", *row[0]))
+    return row
 
 
-def _sequence_from_dict(entry) -> SequenceSpec:
-    if not isinstance(entry, dict):
-        raise SpecError("sequence: must be an object")
-    kind = entry.get("type")
-    if kind == "geometric":
-        extra = set(entry) - {"type", "delta", "ratio", "count"}
-        if extra:
-            raise SpecError(f"sequence: unexpected fields {sorted(extra)}")
-        count = entry.get("count")
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise SpecError("sequence: count must be an integer")
-        return SequenceSpec.geometric(
-            _num(entry, "delta", "sequence"), _num(entry, "ratio", "sequence"), count
-        )
-    if kind == "explicit":
-        extra = set(entry) - {"type", "points"}
-        if extra:
-            raise SpecError(f"sequence: unexpected fields {sorted(extra)}")
-        raw = entry.get("points")
-        if not isinstance(raw, list) or not raw:
-            raise SpecError("sequence: points must be a nonempty list")
-        pts = []
-        for i, pair in enumerate(raw):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
-            ):
-                raise SpecError(f"sequence: points[{i}] must be [x, y]")
-            pts.append(complex(float(pair[0]), float(pair[1])))
-        return SequenceSpec.explicit(pts)
-    raise SpecError(f"sequence: unknown type {kind!r}")
+def _explicit_sequence(entry: dict) -> SequenceSpec:
+    raw = entry.get("points")
+    if not isinstance(raw, list):
+        raise SpecError("sequence: points must be a list")
+    pts = []
+    for i, pair in enumerate(raw):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
+        ):
+            raise SpecError(f"sequence: points[{i}] must be [x, y]")
+        pts.append(complex(float(pair[0]), float(pair[1])))
+    return SequenceSpec.explicit(pts)
+
+
+# each type -> (its numeric fields, the primitive built from their values)
+_PRIMITIVE_TYPES = {
+    "point": (("x", "y"), lambda x, y: SinglePoint(complex(x, y))),
+    "segment": (("x1", "y1", "x2", "y2"), lambda x1, y1, x2, y2: Segment(complex(x1, y1), complex(x2, y2))),
+    "disk": (("cx", "cy", "r"), lambda cx, cy, r: ObstacleDisk(complex(cx, cy), r)),
+}
+
+# each type -> (its fields, the sequence read from an entry of that type)
+_SEQUENCE_TYPES = {
+    "geometric": (
+        ("delta", "ratio", "count"),
+        lambda entry: SequenceSpec.geometric(
+            _num(entry, "delta", "sequence"), _num(entry, "ratio", "sequence"), entry.get("count")
+        ),
+    ),
+    "explicit": (("points",), _explicit_sequence),
+}
 
 
 def domain_from_dict(obj) -> DomainSpec:
-    if not isinstance(obj, dict):
-        raise SpecError("domain description must be a JSON object")
-    extra = set(obj) - {"primitives", "sequence"}
-    if extra:
-        raise SpecError(f"unexpected top-level fields {sorted(extra)}")
+    _object(obj, "domain description", ("primitives", "sequence"))
     prims_raw = obj.get("primitives", [])
     if not isinstance(prims_raw, list):
         raise SpecError("primitives must be a list")
-    prims = [_primitive_from_dict(entry, i) for i, entry in enumerate(prims_raw)]
+    prims = []
+    for i, entry in enumerate(prims_raw):
+        where = f"primitives[{i}]"
+        fields, make = _typed(entry, where, _PRIMITIVE_TYPES)
+        prims.append(make(*(_num(entry, key, where) for key in fields)))
     if "sequence" not in obj:
         raise SpecError("sequence is required")
-    seq = _sequence_from_dict(obj["sequence"])
-    return DomainSpec.build(prims, seq)
+    _, read = _typed(obj["sequence"], "sequence", _SEQUENCE_TYPES)
+    return DomainSpec.build(prims, read(obj["sequence"]))
 
 
 def load_domain(path: str) -> DomainSpec:

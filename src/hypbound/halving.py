@@ -32,6 +32,7 @@ from .geometry import (
     NearestBoundary,
     SequenceSpec,
     UnitCircle,
+    _reused_nearest,
     arc_then_radial,
     boundary_gap,
     first_boundary_hit,
@@ -41,6 +42,8 @@ from .geometry import (
 
 # slack of the certificate inequality checks, in builder and verifier alike
 CERT_TOL = 1e-9
+# absolute slack of implied_lower >= c/|z|, in builder and verifier alike
+FLOOR_TOL = 1e-12
 
 
 class HypothesisViolated(ValueError):
@@ -237,18 +240,12 @@ def _interior_circle_point(spec: DomainSpec, radius: float) -> complex:
 def build_certificate(
     spec: DomainSpec, consts: HalvingConstants, z: complex, nb: NearestBoundary | None = None
 ) -> Certificate:
-    """Certificate for the bound density(z) >= c/|z| at a concrete z in G.
-
-    nb, when given, must be nearest_boundary(spec, z) for this z; a result
-    for another point raises ValueError.
-    """
+    """Certificate for the bound density(z) >= c/|z| at a concrete z in G;
+    nb as in bp.compute_L."""
     seq = spec.sequence
     if seq is None:
         raise HypothesisViolated("domain carries no obstacle sequence")
-    if nb is None:
-        nb = nearest_boundary(spec, z)
-    elif nb.z != z:
-        raise ValueError(f"nearest-boundary result for {nb.z} passed for z = {z}")
+    nb = _reused_nearest(nb, z) or nearest_boundary(spec, z)
     delta = consts.delta
     circle = _circle_witness(spec, nb)
     zeta = circle if circle is not None else min(
@@ -285,7 +282,7 @@ def build_certificate(
     log_ratio, cap, implied = _chain(tag, z, zeta, b, delta)
     if not log_ratio <= cap + CERT_TOL:
         raise CertificateError(f"log ratio {log_ratio} exceeds cap {cap} ({tag.value}) at z = {z}")
-    if not implied >= consts.c / abs(z) - 1e-12:
+    if not implied >= consts.c / abs(z) - FLOOR_TOL:
         raise CertificateError(f"implied bound {implied} falls below c/|z| at z = {z}")
     return Certificate(tag, z, zeta, b, log_ratio, cap, implied)
 
@@ -317,7 +314,7 @@ def verify_certificate(spec: DomainSpec, consts: HalvingConstants, cert: Certifi
         and abs(cap - cert.case_log_cap) <= CERT_TOL
         and log_ratio <= cap + CERT_TOL
         and abs(implied - cert.implied_lower) <= CERT_TOL * max(1.0, implied)
-        and cert.implied_lower >= consts.c / abs(z) - 1e-12
+        and cert.implied_lower >= consts.c / abs(z) - FLOOR_TOL
         and TWO_ROOT_TWO * consts.c * (KAPPA + log_ratio) <= abs(z) / gap + CERT_TOL
     )
 

@@ -9,7 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypbound import DomainSpec, ObstacleDisk, Segment, SequenceSpec, SinglePoint, constants, load_domain
+from hypbound import (
+    DomainSpec,
+    NotOnBoundary,
+    ObstacleDisk,
+    Segment,
+    SequenceSpec,
+    SinglePoint,
+    boundary_gap,
+    constants,
+    load_domain,
+)
+from hypbound.geometry import GEOM_TOL
 
 SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
 
@@ -24,6 +35,29 @@ def battery_json(delta: float, ratio: float, count: int = 60) -> dict:
         "primitives": [],
         "sequence": {"type": "geometric", "delta": delta, "ratio": ratio, "count": count},
     }
+
+
+# spec objects that domain_from_dict rejects with SpecError
+MALFORMED_SPECS = [
+    [],
+    {"sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}, "bogus": 1},
+    {"primitives": {}, "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
+    {"primitives": []},
+    {"primitives": [], "sequence": {"type": "unknown"}},
+    {"primitives": [], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5}},
+    {"primitives": [], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": True}},
+    {"primitives": [], "sequence": {"type": "geometric", "delta": 1.5, "ratio": 0.5, "count": 4}},
+    {"primitives": [], "sequence": {"type": "explicit", "points": []}},
+    {"primitives": [], "sequence": {"type": "explicit", "points": [[0.5]]}},
+    {"primitives": [], "sequence": {"type": "explicit", "points": [["a", 0]]}},
+    {"primitives": [7], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
+    {"primitives": [{"type": "blob"}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
+    {"primitives": [{"type": "point", "x": 0.3}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
+    {"primitives": [{"type": "point", "x": 0.3, "y": True}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
+    {"primitives": [{"type": "point", "x": 0.0, "y": 0.0}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
+    {"primitives": [{"type": "point", "x": 0.3, "y": 0.0, "extra": 1}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
+    {"primitives": [{"type": "disk", "cx": 0.0, "cy": 0.0, "r": 2.0}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
+]
 
 
 @functools.cache
@@ -65,6 +99,46 @@ def boundary_points(spec: DomainSpec, count: int, seed: int) -> list[complex]:
         else:
             out.append(cmath.rect(1.0, rng.uniform(0, math.tau)))
     return out
+
+
+def linear_distance_set(spec: DomainSpec, a: complex) -> tuple[tuple[float, float], ...]:
+    """One achievable-distance interval per primitive of spec, in primitive
+    order: the reference for the window of distance_set.  Raises
+    NotOnBoundary exactly when a lies farther than GEOM_TOL from the
+    boundary, as distance_set does."""
+    if boundary_gap(spec, a) > GEOM_TOL:
+        raise NotOnBoundary(f"point {a} is not on the boundary of G")
+    return tuple(prim.distance_interval(a) for prim in spec.primitives)
+
+
+def rotate_domain(spec: DomainSpec, theta: float) -> DomainSpec:
+    """The domain rotated by e^{i theta} about the origin."""
+    rot = cmath.rect(1.0, theta)
+
+    def rotated(prim):
+        if isinstance(prim, SinglePoint):
+            return SinglePoint(prim.p * rot)
+        if isinstance(prim, Segment):
+            return Segment(prim.p * rot, prim.q * rot)
+        return ObstacleDisk(prim.center * rot, prim.radius)
+
+    user = tuple(rotated(prim) for prim in spec.primitives[: spec.n_user])
+    if spec.sequence is not None:
+        seq = SequenceSpec.explicit(p * rot for p in spec.sequence.resolved_points)
+        return DomainSpec.build(user, seq)
+    return DomainSpec.bare(user, include_origin=0j in spec.point_index.point_set)
+
+
+def path_point(path, t: float) -> complex:
+    """The point of an arc+radial path at t in [0, 1]: a path of two pieces
+    spends the first half of [0, 1] on its arc."""
+    t = min(max(t, 0.0), 1.0)
+    ps = path.pieces
+    if len(ps) == 1:
+        return ps[0].point(t)
+    if t <= 0.5:
+        return ps[0].point(2.0 * t)
+    return ps[1].point(2.0 * t - 1.0)
 
 
 def exact_sq_distance(z: complex, w: complex) -> Fraction:

@@ -18,10 +18,8 @@ from hypbound import (
     build_certificate,
     constants,
     contains,
-    distance_set,
     dyadic_witness,
     nearest_boundary,
-    rotate_domain,
     verify_certificate,
 )
 from hypbound.bp import KAPPA
@@ -31,8 +29,10 @@ from conftest import (
     battery_domain,
     battery_json,
     boundary_points,
+    linear_distance_set,
     mixed_domain,
     primitive_samples,
+    rotate_domain,
     write_spec,
 )
 
@@ -190,7 +190,7 @@ def test_criterion_7_property_suites(tmp_path):
         # 40k nodes per curve keep the worst sampling gap (a V-shaped minimum
         # at a base point between circle nodes) below the 1e-4 tolerance
         for a in boundary_points(spec, 20, seed=29):
-            ds = distance_set(spec, a)
+            ds = linear_distance_set(spec, a)
             for prim, (lo, hi) in zip(spec.primitives, ds):
                 dists = np.abs(primitive_samples(prim, 40_000) - a)
                 smin, smax = float(dists.min()), float(dists.max())

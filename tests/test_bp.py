@@ -21,17 +21,15 @@ from hypbound import (
     bp_bounds,
     compute_L,
     disk_density,
-    distance_set,
     log_distance_to_set,
     nearest_boundary,
     punctured_disk_density,
-    rotate_domain,
 )
 from hypbound.bp import KAPPA, TWO_ROOT_TWO
 from hypbound.cli import sample_domain_points
 from hypbound.oracles import OracleDomain, oracle_density, oracle_fixture
 
-from conftest import battery_domain, bench_domain, boundary_cloud, mixed_domain
+from conftest import battery_domain, bench_domain, boundary_cloud, linear_distance_set, mixed_domain, rotate_domain
 
 
 class TestKappa:
@@ -122,7 +120,7 @@ class TestComputeL:
             r = compute_L(std_domain, z)
             assert abs(z - r.witness_a) <= r.d * (1.0 + 2e-9)
             assert abs(r.L - abs(math.log(r.d / r.witness_s))) <= 1e-9
-            ds = distance_set(std_domain, r.witness_a)
+            ds = linear_distance_set(std_domain, r.witness_a)
             assert any(
                 lo - 1e-12 <= r.witness_s <= hi + 1e-12 for lo, hi in ds if hi > 0
             )

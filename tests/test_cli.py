@@ -22,7 +22,7 @@ from hypbound.cli import (
     slit_audit_row,
 )
 
-from conftest import battery_domain, battery_json, write_spec
+from conftest import MALFORMED_SPECS, battery_domain, battery_json, write_spec
 
 NEG_AXIS_SPEC = {
     "primitives": [],
@@ -471,6 +471,14 @@ class TestExitCodes:
         for _, prefix, code in EXIT_CODES:
             assert any(p.startswith(prefix + ":") for p in prefixes), prefix
         assert {code for _, _, code in EXIT_CODES} == {1, 2}
+
+    @pytest.mark.parametrize("obj", MALFORMED_SPECS)
+    def test_malformed_spec(self, obj, tmp_path, capsys):
+        assert main(["validate", write_spec(tmp_path, obj)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "{spec}", "--n", "-3", "--out", "{tmp}/x.csv"],

@@ -31,19 +31,22 @@ from hypbound import (
     first_boundary_hit,
     load_domain,
     nearest_boundary,
-    rotate_domain,
 )
 from hypbound.geometry import GEOM_TOL, ArcPiece, _piece_hits, primitive_clearance
 
 from conftest import (
+    MALFORMED_SPECS,
     battery_domain,
     battery_json,
     boundary_points,
     exact_sq_distance,
+    linear_distance_set,
     mirror,
     mixed_domain,
     nudge,
+    path_point,
     primitive_samples,
+    rotate_domain,
     write_spec,
 )
 
@@ -59,9 +62,9 @@ def assert_first_hit_matches_walk(spec: DomainSpec, start: complex, target: comp
     hit = first_boundary_hit(spec, path)
     assert boundary_gap(spec, hit) <= 1e-10
     ts = np.linspace(0.0, 1.0, 20_001)
-    gaps = [boundary_gap(spec, path.point(t)) for t in ts]
+    gaps = [boundary_gap(spec, path_point(path, t)) for t in ts]
     first = next(i for i, g in enumerate(gaps) if g <= 1e-4)
-    assert abs(path.point(ts[first]) - hit) <= 5e-3
+    assert abs(path_point(path, ts[first]) - hit) <= 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +344,19 @@ class TestExactWitnesses:
 class TestDistanceSet:
     def test_origin_base(self):
         spec = DomainSpec.bare(include_origin=True)
-        ds = distance_set(spec, 0j)
+        ds = linear_distance_set(spec, 0j)
         assert ds == ((0.0, 0.0), (1.0, 1.0))
 
     def test_segment_endpoint_base(self):
         spec = DomainSpec.bare([Segment(0j, complex(0.1, 0))])
-        ds = distance_set(spec, 0.1 + 0j)
+        ds = linear_distance_set(spec, 0.1 + 0j)
         assert ds[0] == (0.0, 0.1)
         lo, hi = ds[1]
         assert abs(lo - 0.9) < 1e-15 and abs(hi - 1.1) < 1e-15
 
     def test_disk_interval(self):
         spec = DomainSpec.bare([ObstacleDisk(complex(0.3, 0), 0.1)], include_origin=True)
-        ds = distance_set(spec, 0j)
+        ds = linear_distance_set(spec, 0j)
         assert ds[0] == pytest.approx((0.2, 0.4), abs=1e-15)
         assert ds[1] == (0.0, 0.0)
         assert ds[2] == (1.0, 1.0)
@@ -361,7 +364,9 @@ class TestDistanceSet:
     def test_rejects_interior_base(self):
         spec = DomainSpec.bare(include_origin=True)
         with pytest.raises(NotOnBoundary):
-            distance_set(spec, 0.5 + 0j)
+            linear_distance_set(spec, 0.5 + 0j)
+        with pytest.raises(NotOnBoundary):
+            distance_set(spec, 0.5 + 0j, near=0.5)
 
     # (boundary point of mixed_domain(), unit direction off the boundary)
     OFF_BOUNDARY_BASES = {
@@ -380,9 +385,12 @@ class TestDistanceSet:
         a = base + offset * direction
         if boundary_gap(spec, a) > GEOM_TOL:
             with pytest.raises(NotOnBoundary):
-                distance_set(spec, a)
+                linear_distance_set(spec, a)
+            with pytest.raises(NotOnBoundary):
+                distance_set(spec, a, near=0.1)
         else:
-            assert len(distance_set(spec, a)) == len(spec.primitives)
+            assert len(linear_distance_set(spec, a)) == len(spec.primitives)
+            assert distance_set(spec, a, near=0.1)
 
     def test_brute_force_conformance(self):
         # each interval must bracket the sampled min/max up to the sampling
@@ -390,7 +398,7 @@ class TestDistanceSet:
         # point between unit-circle nodes below the 1e-4 tolerance
         spec = mixed_domain()
         for a in boundary_points(spec, 100, seed=11):
-            ds = distance_set(spec, a)
+            ds = linear_distance_set(spec, a)
             for prim, (lo, hi) in zip(spec.primitives, ds):
                 dists = np.abs(primitive_samples(prim, 40_000) - a)
                 smin, smax = float(dists.min()), float(dists.max())
@@ -407,8 +415,8 @@ class TestPaths:
     def test_radial_path_shape(self):
         path = arc_then_radial(0.5 + 0j, 1.0 + 0j)
         assert path.arc is None
-        assert path.point(0.0) == 0.5 + 0j
-        assert path.point(1.0) == 1.0 + 0j
+        assert path_point(path, 0.0) == 0.5 + 0j
+        assert path_point(path, 1.0) == 1.0 + 0j
 
     def test_arc_then_radial_rejects_origin(self):
         with pytest.raises(MalformedPath):
@@ -419,8 +427,8 @@ class TestPaths:
     def test_arc_then_radial_shape(self):
         path = arc_then_radial(0.3 + 0j, 0.5j)
         assert path.arc is not None and path.radial is not None
-        assert abs(path.point(0.0) - 0.3) < 1e-15
-        assert abs(path.point(1.0) - 0.5j) < 1e-15
+        assert abs(path_point(path, 0.0) - 0.3) < 1e-15
+        assert abs(path_point(path, 1.0) - 0.5j) < 1e-15
         assert abs(path.arc.sweep - math.pi / 2.0) < 1e-15
 
     def test_arc_then_radial_takes_shorter_arc(self):
@@ -603,8 +611,8 @@ class TestRotation:
         rot = cmath.rect(1.0, 2.0)
         rspec = rotate_domain(spec, 2.0)
         for a in boundary_points(spec, 30, seed=23):
-            ds0 = distance_set(spec, a)
-            ds1 = distance_set(rspec, a * rot)
+            ds0 = linear_distance_set(spec, a)
+            ds1 = linear_distance_set(rspec, a * rot)
             for (lo0, hi0), (lo1, hi1) in zip(ds0, ds1):
                 assert abs(lo0 - lo1) <= 1e-12
                 assert abs(hi0 - hi1) <= 1e-12
@@ -641,29 +649,7 @@ class TestSerialization:
         )
         assert spec.sequence.resolved_points == (0.5 + 0j, 0.25 + 0j)
 
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            [],
-            {"sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}, "bogus": 1},
-            {"primitives": {}, "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
-            {"primitives": []},
-            {"primitives": [], "sequence": {"type": "unknown"}},
-            {"primitives": [], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5}},
-            {"primitives": [], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": True}},
-            {"primitives": [], "sequence": {"type": "geometric", "delta": 1.5, "ratio": 0.5, "count": 4}},
-            {"primitives": [], "sequence": {"type": "explicit", "points": []}},
-            {"primitives": [], "sequence": {"type": "explicit", "points": [[0.5]]}},
-            {"primitives": [], "sequence": {"type": "explicit", "points": [["a", 0]]}},
-            {"primitives": [7], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
-            {"primitives": [{"type": "blob"}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
-            {"primitives": [{"type": "point", "x": 0.3}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
-            {"primitives": [{"type": "point", "x": 0.3, "y": True}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
-            {"primitives": [{"type": "point", "x": 0.0, "y": 0.0}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
-            {"primitives": [{"type": "point", "x": 0.3, "y": 0.0, "extra": 1}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
-            {"primitives": [{"type": "disk", "cx": 0.0, "cy": 0.0, "r": 2.0}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
-        ],
-    )
+    @pytest.mark.parametrize("obj", MALFORMED_SPECS)
     def test_rejects_malformed(self, obj):
         with pytest.raises(SpecError):
             domain_from_dict(obj)

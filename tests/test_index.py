@@ -35,7 +35,7 @@ from hypbound import (
 from hypbound.geometry import _BLOCK, _FILTER, _TINY, _piece_hits, _ratio_gap, obstacle_gap
 from hypbound.halving import CertificateError, _interior_circle_point
 
-from conftest import bench_domain, boundary_points, exact_sq_distance, mirror, nudge
+from conftest import bench_domain, boundary_points, exact_sq_distance, linear_distance_set, mirror, nudge
 
 # ---------------------------------------------------------------------------
 # brute-force references
@@ -361,7 +361,7 @@ def test_pruned_distance_set(case, log_d):
         dists.append(d)
     for a in bases:
         for d in dists:
-            full, near = outcome(distance_set, spec, a), outcome(distance_set, spec, a, near=d)
+            full, near = outcome(linear_distance_set, spec, a), outcome(distance_set, spec, a, near=d)
             if isinstance(full, type) or isinstance(near, type):
                 assert near is full
                 continue
@@ -372,7 +372,7 @@ def test_pruned_distance_set(case, log_d):
 def assert_window(spec, a, d):
     """window(a, d) is a subsequence of the linear distance set of a that
     keeps every interval at the smallest log gap from d."""
-    full, near = distance_set(spec, a), spec.point_index.window(a, d)
+    full, near = linear_distance_set(spec, a), spec.point_index.window(a, d)
     best = min(_ratio_gap(d, *iv) for iv in full)
     assert is_subsequence(near, full)
     assert [iv for iv in near if _ratio_gap(d, *iv) == best] == [iv for iv in full if _ratio_gap(d, *iv) == best]
