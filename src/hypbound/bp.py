@@ -28,14 +28,14 @@ class EmptySet(ValueError):
 
 @dataclass(frozen=True)
 class BPBounds:
-    """L with its witnesses; lower/upper filled in by bp_bounds."""
+    """L with its witnesses and the two-sided bounds it gives."""
 
     L: float
     d: float
     witness_a: complex
     witness_s: float
-    lower: float | None = None
-    upper: float | None = None
+    lower: float
+    upper: float
 
 
 def log_distance_to_set(d: float, intervals: tuple[tuple[float, float], ...]) -> tuple[float, float]:
@@ -60,30 +60,24 @@ def log_distance_to_set(d: float, intervals: tuple[tuple[float, float], ...]) ->
     return best, best_s
 
 
-def compute_L(spec: DomainSpec, z: complex, nb: NearestBoundary | None = None) -> BPBounds:
-    """L(z): the minimum over nearest-boundary witnesses a of the log-scale
-    distance from d to the achievable-distance set of a.  Bounds are left
-    unset; bp_bounds fills them.
-
-    nb, when given, must be nearest_boundary(spec, z) for this z; a result
-    for another point raises ValueError.
-    """
-    nb = _reused_nearest(nb, z) or nearest_boundary(spec, z)
-    best: tuple[float, complex, float] | None = None
-    for _, a in nb.witnesses:
-        val, sd = log_distance_to_set(nb.d, distance_set(spec, a, near=nb.d))
-        if best is None or val < best[0]:
-            best = (val, a, sd)
-    val, wa, ws = best
-    return BPBounds(L=val, d=nb.d, witness_a=wa, witness_s=ws)
-
-
-def bp_bounds(spec: DomainSpec, z: complex, nb: NearestBoundary | None = None) -> BPBounds:
-    """Two-sided density bounds at z, with L and its witnesses; nb as in compute_L."""
-    r = compute_L(spec, z, nb)
-    denom = r.d * (KAPPA + r.L)
+def compute_L(spec: DomainSpec, nb: NearestBoundary) -> BPBounds:
+    """L at the point nb.z of nb = nearest_boundary(spec, z): the minimum over
+    the nearest witnesses a of the log-scale distance from d to the
+    achievable-distance set of a, with the bounds it gives."""
+    # the first witness at the smallest log gap
+    L, ws, wa = min(
+        (log_distance_to_set(nb.d, distance_set(spec, a, near=nb.d)) + (a,) for _, a in nb.witnesses),
+        key=lambda row: row[0],
+    )
+    denom = nb.d * (KAPPA + L)
     lower = 1.0 / (TWO_ROOT_TWO * denom)
     upper = (KAPPA + math.pi / 4.0) / denom
     if not lower <= upper:
-        raise ArithmeticError(f"lower bound {lower} exceeds upper bound {upper} at z = {z}")
-    return BPBounds(r.L, r.d, r.witness_a, r.witness_s, lower, upper)
+        raise ArithmeticError(f"lower bound {lower} exceeds upper bound {upper} at z = {nb.z}")
+    return BPBounds(L, nb.d, wa, ws, lower, upper)
+
+
+def bp_bounds(spec: DomainSpec, z: complex, nb: NearestBoundary | None = None) -> BPBounds:
+    """compute_L at z; nb, when given, must be nearest_boundary(spec, z) for
+    this z, and a result for another point raises ValueError."""
+    return compute_L(spec, _reused_nearest(nb, z) or nearest_boundary(spec, z))

@@ -687,14 +687,16 @@ def distance_set(spec: DomainSpec, a: complex, near: float) -> tuple[tuple[float
     as the best one: of the one interval per primitive, the subset, in
     primitive order, that holds every interval at the smallest log gap to d,
     so log_distance_to_set(d, .) returns the floats it returns for all of
-    them.  Raises NotOnBoundary exactly when a lies farther than GEOM_TOL
-    from the boundary.
+    them.  Raises NotOnBoundary unless a is a stored point or lies within
+    GEOM_TOL of a curve (the unit circle, a segment or a disk's circle), the
+    test every nearest witness has passed.
     """
     if not 0.0 < near < math.inf:
         raise ValueError("near must be a positive finite distance")
-    if boundary_gap(spec, a) > GEOM_TOL:
+    idx = spec.point_index
+    if a not in idx.point_set and all(prim.boundary_distance(a) > GEOM_TOL for _, prim in idx.others):
         raise NotOnBoundary(f"point {a} is not on the boundary of G")
-    return spec.point_index.window(a, near)
+    return idx.window(a, near)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from hypbound import (
     Segment,
     SequenceSpec,
     SinglePoint,
-    boundary_gap,
     constants,
     load_domain,
 )
@@ -101,14 +100,23 @@ def boundary_points(spec: DomainSpec, count: int, seed: int) -> list[complex]:
     return out
 
 
-def linear_distance_set(spec: DomainSpec, a: complex) -> tuple[tuple[float, float], ...]:
+def primitive_intervals(spec: DomainSpec, a: complex) -> tuple[tuple[float, float], ...]:
     """One achievable-distance interval per primitive of spec, in primitive
-    order: the reference for the window of distance_set.  Raises
-    NotOnBoundary exactly when a lies farther than GEOM_TOL from the
-    boundary, as distance_set does."""
-    if boundary_gap(spec, a) > GEOM_TOL:
-        raise NotOnBoundary(f"point {a} is not on the boundary of G")
+    order, whatever a is: the reference for PointIndex.window."""
     return tuple(prim.distance_interval(a) for prim in spec.primitives)
+
+
+def linear_distance_set(spec: DomainSpec, a: complex) -> tuple[tuple[float, float], ...]:
+    """primitive_intervals(spec, a), the reference for distance_set.  Raises
+    NotOnBoundary unless a is one of the stored points or lies within
+    GEOM_TOL of a curve, the base rule of distance_set, read over every
+    primitive."""
+    if not any(
+        prim.p == a if isinstance(prim, SinglePoint) else prim.boundary_distance(a) <= GEOM_TOL
+        for prim in spec.primitives
+    ):
+        raise NotOnBoundary(f"point {a} is not on the boundary of G")
+    return primitive_intervals(spec, a)
 
 
 def rotate_domain(spec: DomainSpec, theta: float) -> DomainSpec:

@@ -101,15 +101,15 @@ class TestComputeL:
     def test_punctured_fixture_is_zero(self):
         # the circle witness admits a boundary pair at exactly distance d
         spec = DomainSpec.bare(include_origin=True)
-        r = compute_L(spec, 0.5 + 0j)
+        r = compute_L(spec, nearest_boundary(spec, 0.5 + 0j))
         assert r.L == 0.0
         assert r.witness_a == 1.0 + 0j
         assert r.witness_s == 0.5
-        assert r.lower is None and r.upper is None
+        assert r == bp_bounds(spec, 0.5 + 0j)
 
     def test_slit_fixture(self):
         spec = DomainSpec.bare([Segment(0j, complex(0.1, 0))])
-        r = compute_L(spec, 0.5 + 0j)
+        r = compute_L(spec, nearest_boundary(spec, 0.5 + 0j))
         assert abs(r.L - 0.8109302162163288) < 1e-12
         assert abs(r.witness_a - 0.1) < 1e-15
         assert abs(r.witness_s - 0.9) < 1e-15
@@ -117,7 +117,7 @@ class TestComputeL:
     def test_witness_invariants(self, std_domain):
         rng = random.Random(17)
         for z in sample_domain_points(std_domain, 1000, 100):
-            r = compute_L(std_domain, z)
+            r = compute_L(std_domain, nearest_boundary(std_domain, z))
             assert abs(z - r.witness_a) <= r.d * (1.0 + 2e-9)
             assert abs(r.L - abs(math.log(r.d / r.witness_s))) <= 1e-9
             ds = linear_distance_set(std_domain, r.witness_a)
@@ -127,7 +127,7 @@ class TestComputeL:
 
     def test_rejects_outside(self, std_domain):
         with pytest.raises(NotInDomain):
-            compute_L(std_domain, 0.5 + 0j)
+            bp_bounds(std_domain, 0.5 + 0j)
 
     @pytest.mark.parametrize("z, L", [(complex(-0.05, -0.3), 0.0046596798503624132), (0.3j, 0.0017415047625832009)])
     def test_origin_alone_is_nearest_on_the_dense_sequence(self, z, L):
@@ -137,17 +137,15 @@ class TestComputeL:
         spec, _ = bench_domain("dense.json")
         nb = nearest_boundary(spec, z)
         assert [w for _, w in nb.witnesses] == [0j]
-        r = compute_L(spec, z, nb)
+        r = compute_L(spec, nb)
         assert (r.L, r.witness_a) == (L, 0j)
 
     def test_reuses_nb_of_its_point_only(self, std_domain):
         z = 0.3 + 0.2j
         nb = nearest_boundary(std_domain, z)
-        assert compute_L(std_domain, z, nb) == compute_L(std_domain, z)
-        assert bp_bounds(std_domain, z, nb=nb) == bp_bounds(std_domain, z)
-        for fn in (compute_L, bp_bounds):
-            with pytest.raises(ValueError, match="nearest-boundary result for"):
-                fn(std_domain, z + 1e-12, nb=nb)
+        assert compute_L(std_domain, nb) == bp_bounds(std_domain, z, nb=nb) == bp_bounds(std_domain, z)
+        with pytest.raises(ValueError, match="nearest-boundary result for"):
+            bp_bounds(std_domain, z + 1e-12, nb=nb)
 
 
 class TestBPBounds:
@@ -237,7 +235,7 @@ class TestDiscretizedL:
         ],
     )
     def test_discretization_upper_bounds_analytic(self, spec, z):
-        analytic = compute_L(spec, z).L
+        analytic = bp_bounds(spec, z).L
         coarse = self.discretized_L(spec, z, 1_000)
         fine = self.discretized_L(spec, z, 100_000)
         assert coarse >= analytic - 1e-6

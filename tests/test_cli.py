@@ -22,7 +22,7 @@ from hypbound.cli import (
     slit_audit_row,
 )
 
-from conftest import MALFORMED_SPECS, battery_domain, battery_json, write_spec
+from conftest import MALFORMED_SPECS, battery_domain, battery_json, bench_domain, write_spec
 
 NEG_AXIS_SPEC = {
     "primitives": [],
@@ -203,6 +203,25 @@ class TestPointRow:
             monkeypatch.setattr(module, "nearest_boundary", counted)
         assert point_row(spec, consts, z) == expected
         assert calls == [z, z]
+
+    @pytest.mark.parametrize("name", ["dense.json", "demo.json"])
+    def test_one_boundary_gap_scan_per_row(self, monkeypatch, name):
+        # the verifier's check of b; distance_set reads its base off the
+        # witness rule that nearest_boundary has applied
+        spec, consts = bench_domain(name)
+        calls = []
+        original = geometry.boundary_gap
+
+        def counted(spec, z):
+            calls.append(z)
+            return original(spec, z)
+
+        for module in (geometry, halving):
+            monkeypatch.setattr(module, "boundary_gap", counted)
+        for z in sample_domain_points(spec, 5, 40, 10.0 * spec.sequence.floor):
+            calls.clear()
+            point_row(spec, consts, z)
+            assert len(calls) == 1
 
 
 class TestCertify:

@@ -20,6 +20,7 @@ from hypbound import (
     MalformedPath,
     Membership,
     NotInDomain,
+    NotOnBoundary,
     ObstacleDisk,
     Segment,
     SequenceSpec,
@@ -35,7 +36,15 @@ from hypbound import (
 from hypbound.geometry import _BLOCK, _FILTER, _TINY, _piece_hits, _ratio_gap, obstacle_gap
 from hypbound.halving import CertificateError, _interior_circle_point
 
-from conftest import bench_domain, boundary_points, exact_sq_distance, linear_distance_set, mirror, nudge
+from conftest import (
+    bench_domain,
+    boundary_points,
+    exact_sq_distance,
+    linear_distance_set,
+    mirror,
+    nudge,
+    primitive_intervals,
+)
 
 # ---------------------------------------------------------------------------
 # brute-force references
@@ -351,8 +360,8 @@ def test_obstacle_gap(case):
 @INDEXED
 def test_pruned_distance_set(case, log_d):
     spec, z = case
-    # bases: z itself (off the boundary unless it hugs a point within
-    # GEOM_TOL), its nearest witnesses, and boundary points of every primitive
+    # bases: z itself (off the boundary unless it lies within GEOM_TOL of a
+    # curve), its nearest witnesses, and boundary points of every primitive
     bases = [z] + boundary_points(spec, 8, seed=len(spec.primitives))
     dists = [10.0**log_d]
     if linear_contains(spec, z) is Membership.IN_G:
@@ -369,10 +378,26 @@ def test_pruned_distance_set(case, log_d):
             assert log_distance_to_set(d, near) == log_distance_to_set(d, full)
 
 
+@pytest.mark.parametrize("name", ["dense.json", "spiral.json"])
+def test_stored_point_base_is_exact(name):
+    # dense.json's largest point 0.5 and spiral.json's smallest, 3.7e-14 from
+    # the origin: a base one ulp off either lies on no curve and is rejected
+    spec, _ = bench_domain(name)
+    p = min(spec.sequence.resolved_points, key=abs) if name == "spiral.json" else 0.5 + 0j
+    assert p in spec.point_index.point_set
+    d = abs(p)
+    assert log_distance_to_set(d, distance_set(spec, p, near=d)) == log_distance_to_set(d, linear_distance_set(spec, p))
+    for q in (complex(math.nextafter(p.real, 1.0), p.imag), complex(p.real, math.nextafter(p.imag, -1.0))):
+        assert boundary_gap(spec, q) <= 1e-12
+        with pytest.raises(NotOnBoundary):
+            distance_set(spec, q, near=d)
+
+
 def assert_window(spec, a, d):
-    """window(a, d) is a subsequence of the linear distance set of a that
-    keeps every interval at the smallest log gap from d."""
-    full, near = linear_distance_set(spec, a), spec.point_index.window(a, d)
+    """window(a, d) is a subsequence of the intervals of every primitive at
+    a that keeps every interval at the smallest log gap from d; window makes
+    no base check, so a need not lie on the boundary."""
+    full, near = primitive_intervals(spec, a), spec.point_index.window(a, d)
     best = min(_ratio_gap(d, *iv) for iv in full)
     assert is_subsequence(near, full)
     assert [iv for iv in near if _ratio_gap(d, *iv) == best] == [iv for iv in full if _ratio_gap(d, *iv) == best]
