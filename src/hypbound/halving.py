@@ -241,7 +241,7 @@ def build_certificate(
     spec: DomainSpec, consts: HalvingConstants, z: complex, nb: NearestBoundary | None = None
 ) -> Certificate:
     """Certificate for the bound density(z) >= c/|z| at a concrete z in G;
-    nb as in bp.compute_L."""
+    nb as in bp.bp_bounds."""
     seq = spec.sequence
     if seq is None:
         raise HypothesisViolated("domain carries no obstacle sequence")
@@ -270,8 +270,10 @@ def build_certificate(
         ring = delta * 2.0 ** (-(n + 2))
         w = _interior_circle_point(spec, ring)
         b = first_boundary_hit(spec, arc_then_radial(w, target))
-    elif abs(zeta) >= abs(z) / 4.0:
-        # DeepComparable: the origin, or the dyadic witness at the scale of z
+    elif 4.0 * abs(zeta) >= abs(z):
+        # DeepComparable: the origin, or the dyadic witness at the scale of z;
+        # |z| / 4 would underflow to 0 at the smallest subnormals and let
+        # zeta = 0 pass with b = zeta
         b = 0j
     else:
         n = _annulus_index(delta, abs(z))

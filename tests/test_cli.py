@@ -22,7 +22,7 @@ from hypbound.cli import (
     slit_audit_row,
 )
 
-from conftest import MALFORMED_SPECS, battery_domain, battery_json, bench_domain, write_spec
+from conftest import MALFORMED_SPECS, SPECS, battery_domain, battery_json, bench_domain, write_spec
 
 NEG_AXIS_SPEC = {
     "primitives": [],
@@ -496,6 +496,17 @@ class TestExitCodes:
         assert main(["validate", write_spec(tmp_path, obj)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("z", ["5e-324,0", "-5e-324,0", "0,5e-324", "1e-323,0"])
+    @pytest.mark.parametrize("cmd", ["bounds", "certify"])
+    def test_subnormal_z(self, cmd, z, capsys):
+        # |z| / 4 underflows to 0 here; the DeepComparable branch must not
+        # take the origin as both zeta and b
+        assert main([cmd, str(SPECS / "demo.json"), f"--z={z}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("truncation: no resolved point in ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err + captured.out
 
