@@ -131,6 +131,9 @@ def invocations(fixtures: Path) -> list[list[str]]:
         # chord partner is about 1e-9, inside the CircleNearest cap ln 2
         ["certify", demo, "--z=0.94723317263975,-0.32054529899594186"],
         *([cmd, str(fixtures / "ulp_disk.json"), "--z=0.5000000000000001,0"] for cmd in ("bounds", "certify")),
+        # subnormal |z|, where |z| / 4 underflows to 0: truncation, exit 1
+        ["certify", demo, "--z=5e-324,0"],
+        ["bounds", demo, "--z=1e-323,0"],
         ["slit-audit", "--deltas", "0.2,0.1,0.01,0.001", "--out", "out.csv"],
         ["validate", demo],
         ["validate", spiral],
