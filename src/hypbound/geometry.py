@@ -292,12 +292,12 @@ class SequenceSpec:
     def explicit(cls, points: Iterable[complex]) -> "SequenceSpec":
         pts = tuple(complex(p) for p in points)
         if not pts:
-            raise SpecError("explicit sequence must be nonempty")
+            raise SpecError("points must be nonempty")
         for i, p in enumerate(pts):
             if not cmath.isfinite(p):
-                raise SpecError(f"sequence point {i} has non-finite coordinates")
+                raise SpecError(f"points[{i}] has non-finite coordinates")
             if abs(p) >= 1.0:
-                raise SpecError(f"sequence point {i} is not inside the unit disk")
+                raise SpecError(f"points[{i}] is not inside the unit disk")
         return cls(pts)
 
     @cached_property
@@ -337,7 +337,7 @@ class DomainSpec:
     n_user: int
 
     @classmethod
-    def build(cls, primitives: Iterable[Primitive] = (), sequence: SequenceSpec | None = None) -> "DomainSpec":
+    def build(cls, primitives: Iterable[Primitive], sequence: SequenceSpec) -> "DomainSpec":
         if sequence is None:
             raise SpecError("sequence required; use DomainSpec.bare for sequence-free fixtures")
         user = _check_user_primitives(primitives)
@@ -971,7 +971,7 @@ def _typed(entry, where: str, types: dict) -> tuple:
     return row
 
 
-def _explicit_sequence(entry: dict) -> SequenceSpec:
+def _explicit_points(entry: dict) -> list[complex]:
     raw = entry.get("points")
     if not isinstance(raw, list):
         raise SpecError("sequence: points must be a list")
@@ -984,7 +984,16 @@ def _explicit_sequence(entry: dict) -> SequenceSpec:
         ):
             raise SpecError(f"sequence: points[{i}] must be [x, y]")
         pts.append(complex(float(pair[0]), float(pair[1])))
-    return SequenceSpec.explicit(pts)
+    return pts
+
+
+def _built(where: str, make, *args):
+    """make(*args), with `where` put before the text of a SpecError it
+    raises: the constructors check values without knowing where they were read."""
+    try:
+        return make(*args)
+    except SpecError as e:
+        raise SpecError(f"{where}: {e}") from e
 
 
 # each type -> (its numeric fields, the primitive built from their values)
@@ -994,15 +1003,15 @@ _PRIMITIVE_TYPES = {
     "disk": (("cx", "cy", "r"), lambda cx, cy, r: ObstacleDisk(complex(cx, cy), r)),
 }
 
-# each type -> (its fields, the sequence read from an entry of that type)
+# each type -> (its fields, the arguments read from an entry of that type,
+# the constructor they go to)
 _SEQUENCE_TYPES = {
     "geometric": (
         ("delta", "ratio", "count"),
-        lambda entry: SequenceSpec.geometric(
-            _num(entry, "delta", "sequence"), _num(entry, "ratio", "sequence"), entry.get("count")
-        ),
+        lambda entry: (_num(entry, "delta", "sequence"), _num(entry, "ratio", "sequence"), entry.get("count")),
+        SequenceSpec.geometric,
     ),
-    "explicit": (("points",), _explicit_sequence),
+    "explicit": (("points",), lambda entry: (_explicit_points(entry),), SequenceSpec.explicit),
 }
 
 
@@ -1015,11 +1024,12 @@ def domain_from_dict(obj) -> DomainSpec:
     for i, entry in enumerate(prims_raw):
         where = f"primitives[{i}]"
         fields, make = _typed(entry, where, _PRIMITIVE_TYPES)
-        prims.append(make(*(_num(entry, key, where) for key in fields)))
+        prims.append(_built(where, make, *[_num(entry, key, where) for key in fields]))
     if "sequence" not in obj:
         raise SpecError("sequence is required")
-    _, read = _typed(obj["sequence"], "sequence", _SEQUENCE_TYPES)
-    return DomainSpec.build(prims, read(obj["sequence"]))
+    entry = obj["sequence"]
+    _, read, make = _typed(entry, "sequence", _SEQUENCE_TYPES)
+    return DomainSpec.build(prims, _built("sequence", make, *read(entry)))
 
 
 def load_domain(path: str) -> DomainSpec:

@@ -120,7 +120,7 @@ class TestPrimitiveValidation:
 
     def test_build_requires_sequence(self):
         with pytest.raises(SpecError):
-            DomainSpec.build([SinglePoint(complex(0.5, 0))])
+            DomainSpec.build([SinglePoint(complex(0.5, 0))], None)
 
     def test_build_registers_sequence_and_origin_last(self):
         spec = battery_domain(0.5, 0.5, count=3)
@@ -656,6 +656,29 @@ class TestSerialization:
     def test_rejects_malformed(self, obj):
         with pytest.raises(SpecError):
             domain_from_dict(obj)
+
+    GEOMETRIC = {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}
+
+    @pytest.mark.parametrize("primitives, sequence, message", [
+        # checks made by the constructors, which know no location
+        ([{"type": "disk", "cx": 0.0, "cy": 0.0, "r": 2.0}], GEOMETRIC, "primitives[0]: disk is not inside the unit disk"),
+        ([{"type": "point", "x": 0.1, "y": 0.0}, {"type": "point", "x": 1.5, "y": 0.0}], GEOMETRIC,
+         "primitives[1]: point (1.5+0j) is not inside the unit disk"),
+        ([], {**GEOMETRIC, "delta": 1.5}, "sequence: delta must lie in (0, 1)"),
+        ([], {**GEOMETRIC, "count": "4"}, "sequence: count must be a positive integer"),
+        ([], {"type": "explicit", "points": []}, "sequence: points must be nonempty"),
+        ([], {"type": "explicit", "points": [[0.5, 0.0], [0.0, -1.0]]}, "sequence: points[1] is not inside the unit disk"),
+        # checks of the reader and of DomainSpec.build, located once
+        ([{"type": "point", "x": 0.3}], GEOMETRIC, "primitives[0]: missing field 'y'"),
+        ([{"type": "point", "x": 0.0, "y": 0.0}], GEOMETRIC,
+         "primitives[0]: the origin obstacle is implicit and must not be listed"),
+        ([], {"type": "geometric", "ratio": 0.5, "count": 4}, "sequence: missing field 'delta'"),
+        ([], {"type": "explicit", "points": [[0.5]]}, "sequence: points[0] must be [x, y]"),
+    ])
+    def test_error_names_its_location_once(self, primitives, sequence, message):
+        with pytest.raises(SpecError) as exc:
+            domain_from_dict({"primitives": primitives, "sequence": sequence})
+        assert str(exc.value) == message
 
     def test_load_domain(self, tmp_path):
         path = write_spec(tmp_path, battery_json(0.5, 0.5, count=6))

@@ -242,7 +242,7 @@ class TestCertificateCases:
         # the partner is the largest sequence point itself, not a rounded
         # copy of it (rect(|a_0|, arg a_0) is 0.21000000000000002+0.17j)
         a0 = 0.21 + 0.17j
-        spec = DomainSpec.build(sequence=SequenceSpec.explicit(a0 * 0.6**n for n in range(60)))
+        spec = DomainSpec.build([], SequenceSpec.explicit(a0 * 0.6**n for n in range(60)))
         consts = constants(spec.sequence)
         cert = build_certificate(spec, consts, -0.4 * a0 / abs(a0))
         assert cert.case_tag is CaseTag.FAR_FROM_E
