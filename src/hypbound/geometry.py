@@ -36,7 +36,8 @@ the filter keeps, exact integer arithmetic on the stored floats keeps
 those at the exactly smallest distance.  Every curve it keeps stays: the
 realizing point of a segment, disk or the unit circle is a rounded
 projection, so an exact comparison with it would decide a tie by rounding
-error.
+error.  Each witness lies within GEOM_TOL of its curve or is a stored point,
+and `distance_set` accepts a base by that same test, with no boundary scan.
 """
 
 from __future__ import annotations
