@@ -16,7 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import DomainSpec, NearestBoundary, _ratio_gap, _reused_nearest, distance_set, nearest_boundary
+from .geometry import (
+    DomainSpec,
+    NearestBoundary,
+    _check_base,
+    _ratio_gap,
+    _reused_nearest,
+    distance_set,
+    nearest_boundary,
+)
 
 KAPPA = 4.0 + math.log(3.0 + 2.0 * math.sqrt(2.0))
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
@@ -63,18 +71,44 @@ def log_distance_to_set(d: float, intervals: tuple[tuple[float, float], ...]) ->
 def compute_L(spec: DomainSpec, nb: NearestBoundary) -> BPBounds:
     """L at the point nb.z of nb = nearest_boundary(spec, z): the minimum over
     the nearest witnesses a of the log-scale distance from d to the
-    achievable-distance set of a, with the bounds it gives."""
-    # the first witness at the smallest log gap
-    L, ws, wa = min(
-        (log_distance_to_set(nb.d, distance_set(spec, a, near=nb.d)) + (a,) for _, a in nb.witnesses),
-        key=lambda row: row[0],
-    )
-    denom = nb.d * (KAPPA + L)
+    achievable-distance set of a, with the bounds it gives.
+
+    The witnesses are read in order, and the first at the smallest log gap
+    gives L and its witnesses.  Every curve of the domain, the unit circle
+    included, gives one interval from a.  When one of them holds d, L is 0
+    at a, no witness can do better, and compute_L returns without building
+    the point window of distance_set.  Otherwise it reads that window."""
+    idx = spec.point_index
+    d = nb.d
+    best = None
+    for _, a in nb.witnesses:
+        curves = [prim.distance_interval(a) for _, prim in idx.others]
+        # The L = 0 exit.  For floats d > 0 and hi > 0, _ratio_gap(d, lo, hi)
+        # is 1.0 exactly when lo <= d <= hi.  If d lies in [lo, hi], its clamp
+        # s is d, and d / d = 1.0.  Otherwise s != d, and the gap is the
+        # larger of s and d over the smaller, x.  The larger is at least x
+        # plus the ulp of x, which exceeds 2^-53 x: it is 2^-52 x / m for the
+        # mantissa m in [1, 2) of x, and 2^-1074 > 2^-52 x below the normal
+        # range.  So the quotient exceeds 1 + 2^-53, the midpoint between 1.0
+        # and the next float, and rounds above 1.0.  The window holds these
+        # intervals, so it would also give L = log(1.0) = 0.0 with ws = d at
+        # a; log gaps are >= 0, so no later witness replaces a.
+        if any(lo <= d <= hi for lo, hi in curves):
+            _check_base(idx, a, (lo for lo, _ in curves))
+            best = (0.0, d, a)
+            break
+        row = log_distance_to_set(d, distance_set(spec, a, near=d)) + (a,)
+        if best is None or row[0] < best[0]:
+            best = row
+            if row[0] == 0.0:
+                break
+    L, ws, wa = best
+    denom = d * (KAPPA + L)
     lower = 1.0 / (TWO_ROOT_TWO * denom)
     upper = (KAPPA + math.pi / 4.0) / denom
     if not lower <= upper:
         raise ArithmeticError(f"lower bound {lower} exceeds upper bound {upper} at z = {nb.z}")
-    return BPBounds(L, nb.d, wa, ws, lower, upper)
+    return BPBounds(L, d, wa, ws, lower, upper)
 
 
 def bp_bounds(spec: DomainSpec, z: complex, nb: NearestBoundary | None = None) -> BPBounds:

@@ -194,7 +194,12 @@ class SinglePoint:
 
 @dataclass(frozen=True)
 class Segment:
-    """A closed line segment obstacle with distinct endpoints inside D."""
+    """A closed line segment obstacle with distinct endpoints inside D.
+
+    `v` = q - p and `vv` = |v|^2, as _dot computes it, are stored by
+    __post_init__ as plain attributes, not fields, so equality, hashing and
+    repr read p and q alone.
+    """
 
     p: complex
     q: complex
@@ -202,17 +207,23 @@ class Segment:
     def __post_init__(self):
         if not (cmath.isfinite(self.p) and cmath.isfinite(self.q)):
             raise SpecError("segment has non-finite coordinates")
+        v = self.q - self.p
+        vv = _dot(v, v)
         # also rejects endpoints so close that the squared length underflows
-        if _dot(self.q - self.p, self.q - self.p) == 0.0:
+        if vv == 0.0:
             raise SpecError("segment is degenerate: its squared length is 0")
         if max(abs(self.p), abs(self.q)) >= 1.0:
             raise SpecError("segment is not inside the unit disk")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "vv", vv)
 
     def nearest_point(self, z: complex) -> complex:
-        v = self.q - self.p
-        t = _dot(z - self.p, v) / _dot(v, v)
-        t = min(max(t, 0.0), 1.0)
-        return self.p + t * v
+        # _dot(z - p, v) / vv and min(max(t, 0.0), 1.0), inlined with the
+        # same float operations: (z - p).real is z.real - p.real
+        p, v = self.p, self.v
+        t = ((z.real - p.real) * v.real + (z.imag - p.imag) * v.imag) / self.vv
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+        return p + t * v
 
     def set_distance(self, z: complex) -> float:
         return abs(z - self.nearest_point(z))
@@ -695,9 +706,18 @@ def distance_set(spec: DomainSpec, a: complex, near: float) -> tuple[tuple[float
     if not 0.0 < near < math.inf:
         raise ValueError("near must be a positive finite distance")
     idx = spec.point_index
-    if a not in idx.point_set and all(prim.boundary_distance(a) > GEOM_TOL for _, prim in idx.others):
-        raise NotOnBoundary(f"point {a} is not on the boundary of G")
+    _check_base(idx, a, (prim.boundary_distance(a) for _, prim in idx.others))
     return idx.window(a, near)
+
+
+def _check_base(idx: PointIndex, a: complex, gaps: Iterable[float]) -> None:
+    """Raise NotOnBoundary unless a is a stored point of idx or one of gaps,
+    the distances from a to the curves of idx.others in order, is at most
+    GEOM_TOL: the test every nearest witness has passed.  The low end of
+    each curve's distance_interval(a) is the same expression as its
+    boundary_distance(a), so either one serves as gaps."""
+    if a not in idx.point_set and all(gap > GEOM_TOL for gap in gaps):
+        raise NotOnBoundary(f"point {a} is not on the boundary of G")
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +814,7 @@ def _arc_candidates(arc: ArcPiece, prim: Primitive) -> list[float]:
             if t is not None:
                 out.append(t)
     elif isinstance(prim, Segment):
-        v = prim.q - prim.p
-        a = _dot(v, v)
+        v, a = prim.v, prim.vv
         b = 2.0 * _dot(prim.p, v)
         c0 = _dot(prim.p, prim.p) - arc.radius * arc.radius
         for s in _quad_roots(a, b, c0):
@@ -840,7 +859,7 @@ def _radial_candidates(rad: RadialPiece, prim: Primitive) -> list[float]:
         t = _dot(prim.p - A, V) / vv if vv > 0.0 else 0.0
         out.append(t)
     elif isinstance(prim, Segment):
-        u = prim.q - prim.p
+        u = prim.v
         w = prim.p - A
         den = _cross(V, u)
         if abs(den) <= 1e-12 * math.sqrt(vv) * abs(u):
