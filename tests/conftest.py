@@ -11,6 +11,7 @@ import pytest
 
 from hypbound import (
     DomainSpec,
+    NearestBoundary,
     NotOnBoundary,
     ObstacleDisk,
     Segment,
@@ -18,8 +19,9 @@ from hypbound import (
     SinglePoint,
     constants,
     load_domain,
+    log_distance_to_set,
 )
-from hypbound.geometry import GEOM_TOL
+from hypbound.geometry import GEOM_TOL, _dot
 
 SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
 
@@ -117,6 +119,41 @@ def linear_distance_set(spec: DomainSpec, a: complex) -> tuple[tuple[float, floa
     ):
         raise NotOnBoundary(f"point {a} is not on the boundary of G")
     return primitive_intervals(spec, a)
+
+
+def reference_L(spec: DomainSpec, nb: NearestBoundary) -> tuple[float, float, complex]:
+    """(L, witness_s, witness_a) as compute_L(spec, nb) returns them, read
+    over every witness and every primitive: log_distance_to_set over
+    linear_distance_set for each witness, the first at the smallest gap."""
+    return min(
+        (log_distance_to_set(nb.d, linear_distance_set(spec, a)) + (a,) for _, a in nb.witnesses),
+        key=lambda row: row[0],
+    )
+
+
+def reference_nearest_point(seg: Segment, z: complex) -> complex:
+    """Segment.nearest_point by the projection formula that recomputes q - p
+    and |q - p|^2 on every call, the reference for the stored data."""
+    v = seg.q - seg.p
+    t = _dot(z - seg.p, v) / _dot(v, v)
+    t = min(max(t, 0.0), 1.0)
+    return seg.p + t * v
+
+
+def counted_calls(monkeypatch, name: str, *modules) -> list:
+    """The second argument (the point z or the base a) of every call of the
+    function `name` of modules[0] made from now on through any of modules,
+    each of which binds that function."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(spec, x, *args, **kwargs):
+        calls.append(x)
+        return original(spec, x, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def rotate_domain(spec: DomainSpec, theta: float) -> DomainSpec:

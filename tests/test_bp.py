@@ -15,9 +15,16 @@ from hypothesis import strategies as st
 from hypbound import (
     DomainSpec,
     EmptySet,
+    Membership,
+    NearestBoundary,
     NotInDomain,
+    NotOnBoundary,
     ObstacleDisk,
     Segment,
+    SinglePoint,
+    UnitCircle,
+    bp,
+    contains,
     bp_bounds,
     compute_L,
     disk_density,
@@ -29,7 +36,16 @@ from hypbound.bp import KAPPA, TWO_ROOT_TWO
 from hypbound.cli import sample_domain_points
 from hypbound.oracles import OracleDomain, oracle_density, oracle_fixture
 
-from conftest import battery_domain, bench_domain, boundary_cloud, linear_distance_set, mixed_domain, rotate_domain
+from conftest import (
+    battery_domain,
+    bench_domain,
+    boundary_cloud,
+    counted_calls,
+    linear_distance_set,
+    mixed_domain,
+    reference_L,
+    rotate_domain,
+)
 
 
 class TestKappa:
@@ -146,6 +162,93 @@ class TestComputeL:
         assert compute_L(std_domain, nb) == bp_bounds(std_domain, z, nb=nb) == bp_bounds(std_domain, z)
         with pytest.raises(ValueError, match="nearest-boundary result for"):
             bp_bounds(std_domain, z + 1e-12, nb=nb)
+
+
+def assert_matches_reference(spec: DomainSpec, nb: NearestBoundary):
+    """compute_L(spec, nb) gives the floats of reference_L bit for bit, with
+    the bounds that L gives."""
+    r = compute_L(spec, nb)
+    L, ws, wa = reference_L(spec, nb)
+    denom = nb.d * (KAPPA + L)
+    expected = (L, nb.d, wa, ws, 1.0 / (TWO_ROOT_TWO * denom), (KAPPA + math.pi / 4.0) / denom)
+    assert repr(tuple(vars(r).values())) == repr(expected)
+    return r
+
+
+class TestLZeroExit:
+    """compute_L returns L = 0 at the first witness whose curve interval holds
+    d, without its point window, and the floats of the full reading."""
+
+    @staticmethod
+    def domain(name: str) -> DomainSpec:
+        return mixed_domain() if name == "mixed" else bench_domain(name)[0]
+
+    @given(
+        st.sampled_from(["demo.json", "spiral.json", "dense.json", "mixed"]),
+        st.floats(0.0, 1.0),
+        st.floats(-math.pi, math.pi),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_full_reading(self, name, depth, theta):
+        # |z| log-uniform from 10x the sequence floor up to 1
+        spec = self.domain(name)
+        z = cmath.rect(math.exp(math.log(10.0 * spec.sequence.floor) * depth), theta)
+        if contains(spec, z) is not Membership.IN_G:
+            return
+        assert_matches_reference(spec, nearest_boundary(spec, z))
+
+    @pytest.mark.parametrize("name", ["demo.json", "spiral.json", "dense.json", "mixed"])
+    def test_sweep_points_match_the_full_reading(self, name):
+        spec = self.domain(name)
+        for z in sample_domain_points(spec, 3, 150):
+            assert_matches_reference(spec, nearest_boundary(spec, z))
+
+    def test_d_at_the_low_end_of_the_circle_interval(self, monkeypatch):
+        # from a = 0.9 the circle is 1 - 0.9 away, which is d at z = 0.8
+        spec = DomainSpec.bare([SinglePoint(0.9 + 0j)])
+        nb = nearest_boundary(spec, 0.8 + 0j)
+        assert nb.d == UnitCircle().distance_interval(0.9 + 0j)[0]
+        calls = counted_calls(monkeypatch, "distance_set", bp)
+        r = assert_matches_reference(spec, nb)
+        assert (r.L, r.witness_s, calls) == (0.0, nb.d, [])
+        # an ulp farther out d drops below the interval, and the window decides
+        nb = nearest_boundary(spec, complex(math.nextafter(0.8, 1.0), 0.0))
+        r = assert_matches_reference(spec, nb)
+        assert r.L > 0.0 and calls == [0.9 + 0j]
+
+    def test_d_at_the_high_end_of_a_segment_interval(self, monkeypatch):
+        # the far end 0.6 of the segment lies as far from a = 0.5 as z = 0.4
+        spec = DomainSpec.bare([SinglePoint(0.5 + 0j), Segment(0.55 + 0j, 0.6 + 0j)])
+        nb = nearest_boundary(spec, 0.4 + 0j)
+        assert nb.d == spec.primitives[1].distance_interval(0.5 + 0j)[1]
+        calls = counted_calls(monkeypatch, "distance_set", bp)
+        assert assert_matches_reference(spec, nb).L == 0.0
+        assert calls == []
+
+    def test_tie_where_only_the_second_witness_gives_zero(self, monkeypatch):
+        # the origin and the unit circle tie at z = 0.5: from the origin L = ln 2,
+        # from the circle L = 0
+        spec = DomainSpec.bare(include_origin=True)
+        nb = nearest_boundary(spec, 0.5 + 0j)
+        assert [w for _, w in nb.witnesses] == [0j, 1 + 0j]
+        calls = counted_calls(monkeypatch, "distance_set", bp)
+        r = assert_matches_reference(spec, nb)
+        assert (r.L, r.witness_a, calls) == (0.0, 1 + 0j, [0j])
+        # read the other way round, the circle comes first and ends the pass
+        calls.clear()
+        flipped = NearestBoundary(nb.z, nb.d, nb.witnesses[::-1])
+        assert compute_L(spec, flipped) == r
+        assert calls == []
+
+    @pytest.mark.parametrize("d, windows", [(1.0, 0), (0.1, 1)])
+    def test_off_boundary_witness_raises_on_both_paths(self, monkeypatch, d, windows):
+        # from a = 0.3 the circle interval is [0.7, 1.3]: d = 1.0 takes the
+        # exit, d = 0.1 the window
+        spec = DomainSpec.bare(include_origin=True)
+        calls = counted_calls(monkeypatch, "distance_set", bp)
+        with pytest.raises(NotOnBoundary):
+            compute_L(spec, NearestBoundary(0.5 + 0j, d, ((0, 0.3 + 0j),)))
+        assert len(calls) == windows
 
 
 class TestBPBounds:

@@ -1,13 +1,20 @@
 """Command line harness: exit codes, CSV schema and determinism, per-row
 re-checkability, the slit audit, and the oracle sandwich commands."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypbound import DomainSpec, SequenceSpec, bp, constants, geometry, halving, load_domain, lower_bound, oracles
 from hypbound.cli import (
@@ -22,7 +29,7 @@ from hypbound.cli import (
     slit_audit_row,
 )
 
-from conftest import MALFORMED_SPECS, SPECS, battery_domain, battery_json, bench_domain, write_spec
+from conftest import MALFORMED_SPECS, SPECS, battery_domain, battery_json, bench_domain, counted_calls, write_spec
 
 NEG_AXIS_SPEC = {
     "primitives": [],
@@ -192,15 +199,7 @@ class TestPointRow:
         spec = DomainSpec.build([], SequenceSpec.geometric(0.5, 0.5, 60))
         consts = constants(spec.sequence)
         expected = point_row(spec, consts, z)
-        calls = []
-        original = geometry.nearest_boundary
-
-        def counted(spec, z):
-            calls.append(z)
-            return original(spec, z)
-
-        for module in (geometry, bp, halving):
-            monkeypatch.setattr(module, "nearest_boundary", counted)
+        calls = counted_calls(monkeypatch, "nearest_boundary", geometry, bp, halving)
         assert point_row(spec, consts, z) == expected
         assert calls == [z, z]
 
@@ -209,19 +208,34 @@ class TestPointRow:
         # the verifier's check of b; distance_set reads its base off the
         # witness rule that nearest_boundary has applied
         spec, consts = bench_domain(name)
-        calls = []
-        original = geometry.boundary_gap
-
-        def counted(spec, z):
-            calls.append(z)
-            return original(spec, z)
-
-        for module in (geometry, halving):
-            monkeypatch.setattr(module, "boundary_gap", counted)
+        calls = counted_calls(monkeypatch, "boundary_gap", geometry, halving)
         for z in sample_domain_points(spec, 5, 40, 10.0 * spec.sequence.floor):
             calls.clear()
             point_row(spec, consts, z)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["dense.json", "demo.json"])
+    def test_circle_nearest_rows_read_no_point_window(self, monkeypatch, name):
+        # the unit circle's interval from its own witness holds d, so L = 0
+        # is settled before any distance_set
+        spec, consts = bench_domain(name)
+        calls = counted_calls(monkeypatch, "distance_set", geometry, bp)
+        seen = 0
+        for z in sample_domain_points(spec, 8, 150, 10.0 * spec.sequence.floor):
+            calls.clear()
+            row = point_row(spec, consts, z)
+            if row.case_tag is halving.CaseTag.CIRCLE_NEAREST:
+                assert (row.L, calls) == (0.0, [])
+                seen += 1
+        assert seen >= 10
+
+    def test_one_point_window_at_a_positive_L(self, monkeypatch):
+        # no curve interval holds d here; bench/test_bench.py traces this point
+        spec, consts = bench_domain("demo.json")
+        calls = counted_calls(monkeypatch, "distance_set", geometry, bp)
+        row = point_row(spec, consts, 0.35 + 0.1j)
+        assert row.L == 0.12343003896576289
+        assert calls == [0.25 + 0j]
 
 
 class TestCertify:
@@ -523,6 +537,118 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+
+# values for the CLI fuzz: signed zeros, subnormals, values whose squares
+# underflow, 1 - 2^-53 and a few plain coordinates
+FUZZ_COORDS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-160, -1e-160,
+    1.0 - 2.0**-53, -(1.0 - 2.0**-53), 0.5, -0.3, 0.25, 0.1, 0.35,
+)
+FUZZ_RADII = (5e-324, 1e-310, 1e-160, 1e-16, 0.05, 0.3)
+FUZZ_DELTAS = (0.5, 0.25, 1e-160, 5e-324, 1.0 - 2.0**-53)
+FUZZ_RATIOS = (0.5, 0.99, 1e-160, 1.0 - 2.0**-53)
+FUZZ_COUNTS = (1, 2, 60, 1075)
+
+
+def fuzz_case(pick) -> tuple[dict, list[str]]:
+    """A spec object and a hypbound argv, with {spec} and {out} standing for
+    their paths; pick returns one element of the sequence it is given."""
+    prims = []
+    for _ in range(pick(range(4))):
+        kind = pick(("point", "segment", "disk"))
+        if kind == "point":
+            prims.append({"type": kind, "x": pick(FUZZ_COORDS), "y": pick(FUZZ_COORDS)})
+        elif kind == "segment":
+            prims.append({"type": kind, **{key: pick(FUZZ_COORDS) for key in ("x1", "y1", "x2", "y2")}})
+        else:
+            prims.append({"type": kind, "cx": pick(FUZZ_COORDS), "cy": pick(FUZZ_COORDS), "r": pick(FUZZ_RADII)})
+    if pick(("geometric", "explicit")) == "geometric":
+        seq = {"type": "geometric", "delta": pick(FUZZ_DELTAS), "ratio": pick(FUZZ_RATIOS), "count": pick(FUZZ_COUNTS)}
+    else:
+        # halved at each step, so that some draws satisfy the halving hypothesis
+        n = pick(range(1, 31))
+        seq = {"type": "explicit", "points": [[pick(FUZZ_COORDS) * 0.5**k, pick(FUZZ_COORDS) * 0.5**k] for k in range(n)]}
+    cmd = pick(("validate", "bounds", "certify", "sweep"))
+    if cmd == "validate":
+        argv = [cmd, "{spec}"]
+    elif cmd == "sweep":
+        argv = [cmd, "{spec}", "--n", "3", "--seed", str(pick(range(5))), "--out", "{out}"]
+    else:
+        argv = [cmd, "{spec}", f"--z={pick(FUZZ_COORDS)!r},{pick(FUZZ_COORDS)!r}"]
+    return {"primitives": prims, "sequence": seq}, argv
+
+
+@st.composite
+def fuzz_cases(draw):
+    return fuzz_case(lambda seq: draw(st.sampled_from(seq)))
+
+
+def fuzz_argv(obj: dict, argv: list[str], where: Path) -> list[str]:
+    """argv with the spec obj written in the directory where."""
+    (where / "spec.json").write_text(json.dumps(obj), encoding="utf-8")
+    return [a.replace("{spec}", str(where / "spec.json")).replace("{out}", str(where / "out.csv")) for a in argv]
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """main(argv) in this process: its exit code and standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code: int, err: str) -> None:
+    assert code in (0, 1, 2)
+    # a mapped error is one line; a failed check (a halving check, a
+    # certificate that does not verify) reports on standard output
+    assert err.count("\n") == (1 if err or code == 2 else 0)
+    assert "Traceback" not in err
+
+
+# under -O: each argv list runs through main, and one JSON list of [exit
+# code, stderr] pairs is printed
+OPTIMIZED_RUNS = """
+import contextlib, io, json, sys
+from hypbound.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    results.append([code, err.getvalue()])
+print(json.dumps([sys.flags.optimize, results]))
+"""
+
+
+class TestCliFuzz:
+    """Specs with 0-3 primitives at edge coordinates, both sequence types,
+    and validate, bounds, certify and sweep --n 3: every draw ends in exit
+    code 0, 1 or 2, with at most one line on standard error and no
+    traceback."""
+
+    @given(fuzz_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_draw_exits_cleanly(self, case):
+        with tempfile.TemporaryDirectory() as where:
+            assert_clean_exit(*run_main(fuzz_argv(*case, Path(where))))
+
+    def test_draws_under_optimize(self, tmp_path):
+        # assert statements vanish under -O, so no exit path may rest on one
+        runs = []
+        for k in range(8):
+            where = tmp_path / str(k)
+            where.mkdir()
+            runs.append(fuzz_argv(*fuzz_case(random.Random(k).choice), where))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_RUNS, json.dumps(runs)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        optimize, results = json.loads(proc.stdout)
+        assert optimize == 1
+        for argv, (code, err) in zip(runs, results):
+            assert_clean_exit(code, err)
+            assert (code, err) == run_main(argv)
 
 
 class TestStarvationRule:

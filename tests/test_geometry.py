@@ -2,7 +2,9 @@
 distances, arc+radial first hits, clearances, rotation, serialization."""
 
 import cmath
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -32,7 +34,7 @@ from hypbound import (
     load_domain,
     nearest_boundary,
 )
-from hypbound.geometry import GEOM_TOL, ArcPiece, _piece_hits, primitive_clearance
+from hypbound.geometry import GEOM_TOL, ArcPiece, _dot, _piece_hits, primitive_clearance
 
 from conftest import (
     MALFORMED_SPECS,
@@ -46,6 +48,7 @@ from conftest import (
     nudge,
     path_point,
     primitive_samples,
+    reference_nearest_point,
     rotate_domain,
     write_spec,
 )
@@ -129,6 +132,66 @@ class TestPrimitiveValidation:
         assert spec.primitives[-2] == SinglePoint(0j)
         assert 0j in spec.point_index.point_set
         assert [p.p for p in spec.primitives[:3]] == [0.5, 0.25, 0.125]
+
+
+# ---------------------------------------------------------------------------
+# segment kernel
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-160]
+COORDS = st.one_of(st.floats(-0.7, 0.7), st.sampled_from(EDGES))
+OFFSETS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(EDGES))
+
+
+class TestSegmentKernel:
+    """The projection onto a segment reads v = q - p and |v|^2, stored at
+    construction, and gives the floats of the formula that recomputes them."""
+
+    @given(COORDS, COORDS, COORDS, COORDS, OFFSETS, OFFSETS)
+    @settings(max_examples=300, deadline=None)
+    def test_projection_matches_the_recomputing_formula(self, x1, y1, x2, y2, dx, dy):
+        try:
+            seg = Segment(complex(x1, y1), complex(x2, y2))
+        except SpecError:
+            assume(False)
+        v = seg.q - seg.p
+        assert repr((seg.v, seg.vv)) == repr((v, _dot(v, v)))
+        for z in (seg.p + complex(dx, dy), seg.q + complex(dx, dy), complex(dx, dy)):
+            assert repr(seg.nearest_point(z)) == repr(reference_nearest_point(seg, z))
+
+    # v has negative parts, so t is -0.0 where z - p is 0 or underflows
+    @pytest.mark.parametrize(
+        "p, z, end",
+        [
+            (complex(0.3, 0.1), complex(0.5, 0.3), "p"),   # t < 0
+            (complex(0.3, 0.1), complex(-0.4, -0.6), "q"),  # t > 1
+            (complex(0.3, 0.1), complex(0.05, -0.15), None),
+            (complex(0.3, 0.1), complex(0.3, 0.1), "p"),    # z = p, t = -0.0
+            (0j, complex(5e-324, 0.0), "p"),                # the product underflows to -0.0
+            (0j, complex(-5e-324, -5e-324), None),
+            (0j, complex(-1e-310, -1e-310), None),          # subnormal t and point
+            (0j, complex(-0.0, 1e-310), None),
+        ],
+    )
+    def test_clamps_signed_zeros_and_subnormal_offsets(self, p, z, end):
+        seg = Segment(p, complex(-0.2, -0.4))
+        w = seg.nearest_point(z)
+        assert repr(w) == repr(reference_nearest_point(seg, z))
+        if end is not None:
+            assert w == getattr(seg, end)
+
+    def test_stored_data_leaves_identity_alone(self):
+        seg = Segment(complex(0.3, 0.3), complex(0.5, 0.2))
+        assert [f.name for f in dataclasses.fields(seg)] == ["p", "q"]
+        assert dataclasses.astuple(seg) == (seg.p, seg.q)
+        assert repr(seg) == "Segment(p=(0.3+0.3j), q=(0.5+0.2j))"
+        assert seg == Segment(complex(0.3, 0.3), complex(0.5, 0.2))
+        assert seg != Segment(complex(0.3, 0.3), complex(0.5, 0.25))
+        assert hash(seg) == hash((seg.p, seg.q))
+        copy = pickle.loads(pickle.dumps(seg))
+        assert (copy, hash(copy), repr(copy)) == (seg, hash(seg), repr(seg))
+        assert (copy.v, copy.vv) == (seg.v, seg.vv)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seg.v = 0j
 
 
 class TestSequenceSpec:

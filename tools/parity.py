@@ -71,6 +71,19 @@ FIXTURES = {
         "primitives": [{"type": "disk", "cx": 0.5, "cy": 0.0, "r": 1e-16}],
         "sequence": {"type": "geometric", "delta": 0.25, "ratio": 0.5, "count": 40},
     },
+    # L = 0 from a segment or a disk interval and not the unit circle: at
+    # 0.4 the segment interval from the point 0.5 ends exactly at d, at
+    # 0.5-0.3i the disk interval holds d
+    "intervals.json": {
+        "primitives": [
+            {"type": "segment", "x1": 0.55, "y1": 0.0, "x2": 0.6, "y2": 0.0},
+            {"type": "disk", "cx": 0.5, "cy": 0.3, "r": 0.05},
+        ],
+        "sequence": {"type": "explicit", "points": [[0.5, 0.0]]},
+    },
+    # at 0.75 the point 0.5 (L = ln 2) and the unit circle (L = 0) tie as
+    # witnesses, and only the second gives L = 0
+    "tie.json": {"primitives": [], "sequence": {"type": "explicit", "points": [[0.5, 0.0]]}},
     # malformed specs, each rejected at load with exit 2
     "listed_origin.json": {
         "primitives": [{"type": "point", "x": 0.0, "y": 0.0}],
@@ -134,6 +147,13 @@ def invocations(fixtures: Path) -> list[list[str]]:
         # subnormal |z|, where |z| / 4 underflows to 0: truncation, exit 1
         ["certify", demo, "--z=5e-324,0"],
         ["bounds", demo, "--z=1e-323,0"],
+        # L = 0 from a curve interval other than the unit circle's: from the
+        # user point 0.3+0.3i, the segment that ends there (the two tie as
+        # witnesses), then from the origin, the disk
+        ["bounds", demo, "--z=0.26208004800213525,0.2638751929357783"],
+        ["bounds", demo, "--z=-0.11029902898747102,-0.3014301638464816", "--csv"],
+        *(["bounds", str(fixtures / "intervals.json"), f"--z={z}"] for z in ("0.4,0", "0.5,-0.3")),
+        *([cmd, str(fixtures / "tie.json"), "--z=0.75,0"] for cmd in ("bounds", "certify")),
         ["slit-audit", "--deltas", "0.2,0.1,0.01,0.001", "--out", "out.csv"],
         ["validate", demo],
         ["validate", spiral],
