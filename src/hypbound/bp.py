@@ -21,7 +21,6 @@ from .geometry import (
     NearestBoundary,
     _check_base,
     _ratio_gap,
-    _reused_nearest,
     distance_set,
     nearest_boundary,
 )
@@ -111,7 +110,6 @@ def compute_L(spec: DomainSpec, nb: NearestBoundary) -> BPBounds:
     return BPBounds(L, d, wa, ws, lower, upper)
 
 
-def bp_bounds(spec: DomainSpec, z: complex, nb: NearestBoundary | None = None) -> BPBounds:
-    """compute_L at z; nb, when given, must be nearest_boundary(spec, z) for
-    this z, and a result for another point raises ValueError."""
-    return compute_L(spec, _reused_nearest(nb, z) or nearest_boundary(spec, z))
+def bp_bounds(spec: DomainSpec, z: complex) -> BPBounds:
+    """compute_L at z, from a nearest_boundary pass of its own."""
+    return compute_L(spec, nearest_boundary(spec, z))

@@ -76,7 +76,7 @@ def point_row(spec: geometry.DomainSpec, consts: halving.HalvingConstants, z: co
     """One sweep row; bounds and certificate share one nearest-boundary pass,
     and the verifier makes its own."""
     nb = geometry.nearest_boundary(spec, z)
-    bounds = bp.bp_bounds(spec, z, nb=nb)
+    bounds = bp.compute_L(spec, nb)
     thm1 = halving.lower_bound(consts, z)
     cert = halving.build_certificate(spec, consts, z, nb=nb)
     if not halving.verify_certificate(spec, consts, cert):
@@ -169,10 +169,11 @@ def slit_audit_row(delta: float) -> SlitAuditRow:
     """
     if not 0.0 < delta < 0.25:
         raise BadDelta(f"delta = {delta} outside (0, 1/4)")
-    seq = geometry.SequenceSpec.geometric(delta, 0.5, 60)
-    spec = geometry.DomainSpec.build(
-        [geometry.Segment(0j, complex(delta, 0.0))], seq
-    )
+    try:
+        seq = geometry.SequenceSpec.geometric(delta, 0.5, 60)
+        spec = geometry.DomainSpec.build([geometry.Segment(0j, complex(delta, 0.0))], seq)
+    except geometry.SpecError as e:
+        raise BadDelta(f"delta = {delta}: {e}") from e
     z = complex(0.5, 0.0)
     r = bp.bp_bounds(spec, z)
     d_paper = 0.5 - delta

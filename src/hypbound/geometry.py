@@ -424,11 +424,6 @@ class PointIndex:
         pad = abs(hi) * _SLACK + _SLACK_TINY
         return bisect_left(self.moduli, lo - pad), bisect_right(self.moduli, hi + pad)
 
-    def between(self, lo: float, hi: float) -> list[int]:
-        """Primitive indices of the points of band(lo, hi)."""
-        start, stop = self.band(lo, hi)
-        return self.slots[start:stop]
-
     def scan(self, z: complex, bound: float) -> tuple[float, list[tuple[float, int, complex]]]:
         """(d, hits): d is the smaller of bound and the distance from z to the
         nearest point, and hits holds (|z - p|, index, p) for every point p
@@ -644,14 +639,6 @@ def nearest_boundary(spec: DomainSpec, z: complex) -> NearestBoundary:
     return NearestBoundary(z, d, tuple(witnesses))
 
 
-def _reused_nearest(nb: NearestBoundary | None, z: complex) -> NearestBoundary | None:
-    """nb, a nearest_boundary result passed in for reuse at z, or None when
-    none was passed; a result for another point raises ValueError."""
-    if nb is not None and nb.z != z:
-        raise ValueError(f"nearest-boundary result for {nb.z} passed for z = {z}")
-    return nb
-
-
 def _exactly_nearest(z: complex, points: list[tuple[int, complex]]) -> list[tuple[int, complex]]:
     """The (index, point) pairs at the exactly smallest |z - p|.
 
@@ -748,34 +735,23 @@ class RadialPiece:
         return cmath.rect(self.r_start + t * (self.r_end - self.r_start), self.angle)
 
 
-@dataclass(frozen=True)
-class ArcRadialPath:
-    arc: ArcPiece | None
-    radial: RadialPiece | None
+def _walk(start: complex, target: complex) -> tuple[ArcPiece | RadialPiece, ...]:
+    """The pieces of the walk from start to target: the shorter arc of
+    S(0, |start|) onto the ray of target, then radially to target.
 
-    def __post_init__(self):
-        if self.arc is None and self.radial is None:
-            raise MalformedPath("path has no pieces")
-
-    @property
-    def pieces(self) -> tuple:
-        return tuple(p for p in (self.arc, self.radial) if p is not None)
-
-
-def arc_then_radial(start: complex, target: complex) -> ArcRadialPath:
-    """Shorter arc of S(0, |start|) onto the ray of target, then radially to target.
-
-    Degenerate pieces (zero sweep, equal radii) are dropped; a path left
-    with no piece raises MalformedPath.
+    Degenerate pieces (zero sweep, equal radii) are dropped; a walk left
+    with no piece, or with an end at the origin, raises MalformedPath.
     """
     if start == 0 or target == 0:
         raise MalformedPath("path endpoints must avoid the origin")
     rho = abs(start)
     th0, th1 = _angle(start), _angle(target)
     sweep = _wrap(th1 - th0)
-    arc = ArcPiece(rho, th0, sweep) if abs(sweep) > 1e-15 else None
-    radial = RadialPiece(th1, rho, abs(target)) if abs(target) != rho else None
-    return ArcRadialPath(arc, radial)
+    arc = (ArcPiece(rho, th0, sweep),) if abs(sweep) > 1e-15 else ()
+    radial = (RadialPiece(th1, rho, abs(target)),) if abs(target) != rho else ()
+    if not arc + radial:
+        raise MalformedPath("path has no pieces")
+    return arc + radial
 
 
 def _quad_roots(a: float, b: float, c: float) -> tuple[float, ...]:
@@ -899,22 +875,23 @@ def _piece_hits(piece, prim: Primitive) -> list[float]:
     return hits
 
 
-def first_boundary_hit(spec: DomainSpec, path: ArcRadialPath) -> complex:
-    """First point of the boundary of G met along the path from its start.
+def first_boundary_hit(spec: DomainSpec, start: complex, target: complex) -> complex:
+    """First point of the boundary of G met along _walk(start, target).
 
-    The path must end on the boundary, so a hit always exists.
+    The walk must end on the boundary, so a hit always exists.
     """
     idx = spec.point_index
-    for piece in path.pieces:
+    for piece in _walk(start, target):
         # a point hit lies within HIT_TOL of the piece, whose moduli span [lo,
-        # hi], up to rounding that between() absorbs: a computed point w of the
+        # hi], up to rounding that band() absorbs: a computed point w of the
         # piece has a modulus within 6u * hi of [lo, hi], and a hit needs a
         # computed |w - p| <= HIT_TOL, so an exact one within 4u of it
         if isinstance(piece, ArcPiece):
             lo = hi = piece.radius
         else:
             lo, hi = sorted((piece.r_start, piece.r_end))
-        near = [idx.primitives[i] for i in idx.between(lo - HIT_TOL, hi + HIT_TOL)]
+        j0, j1 = idx.band(lo - HIT_TOL, hi + HIT_TOL)
+        near = [idx.primitives[i] for i in idx.slots[j0:j1]]
         best: float | None = None
         for prim in [prim for _, prim in idx.others] + near:
             for t in _piece_hits(piece, prim):
@@ -969,12 +946,16 @@ def _object(entry, where: str, fields: tuple[str, ...]) -> None:
         raise SpecError(f"{where}: unexpected fields {sorted(extra)}")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _num(entry: dict, key: str, where: str) -> float:
     try:
         v = entry[key]
     except KeyError as e:
         raise SpecError(f"{where}: missing field {key!r}") from e
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise SpecError(f"{where}: field {key!r} must be a number")
     return float(v)
 
@@ -997,11 +978,7 @@ def _explicit_points(entry: dict) -> list[complex]:
         raise SpecError("sequence: points must be a list")
     pts = []
     for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
-        ):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
             raise SpecError(f"sequence: points[{i}] must be [x, y]")
         pts.append(complex(float(pair[0]), float(pair[1])))
     return pts

@@ -32,8 +32,7 @@ from .geometry import (
     NearestBoundary,
     SequenceSpec,
     UnitCircle,
-    _reused_nearest,
-    arc_then_radial,
+    _is_number,
     boundary_gap,
     first_boundary_hit,
     nearest_boundary,
@@ -241,11 +240,13 @@ def build_certificate(
     spec: DomainSpec, consts: HalvingConstants, z: complex, nb: NearestBoundary | None = None
 ) -> Certificate:
     """Certificate for the bound density(z) >= c/|z| at a concrete z in G;
-    nb as in bp.bp_bounds."""
+    nb, when given, must be nearest_boundary(spec, z) at this z."""
     seq = spec.sequence
     if seq is None:
         raise HypothesisViolated("domain carries no obstacle sequence")
-    nb = _reused_nearest(nb, z) or nearest_boundary(spec, z)
+    if nb is not None and nb.z != z:
+        raise ValueError(f"nearest-boundary result for {nb.z} passed for z = {z}")
+    nb = nb or nearest_boundary(spec, z)
     delta = consts.delta
     circle = _circle_witness(spec, nb)
     zeta = circle if circle is not None else min(
@@ -269,7 +270,7 @@ def build_certificate(
         target = seq.resolved_points[k1]
         ring = delta * 2.0 ** (-(n + 2))
         w = _interior_circle_point(spec, ring)
-        b = first_boundary_hit(spec, arc_then_radial(w, target))
+        b = first_boundary_hit(spec, w, target)
     elif 4.0 * abs(zeta) >= abs(z):
         # DeepComparable: the origin, or the dyadic witness at the scale of z;
         # |z| / 4 would underflow to 0 at the smallest subnormals and let
@@ -279,7 +280,7 @@ def build_certificate(
         n = _annulus_index(delta, abs(z))
         k = dyadic_witness(seq, n)
         target = seq.resolved_points[k]
-        b = first_boundary_hit(spec, arc_then_radial(z, target))
+        b = first_boundary_hit(spec, z, target)
 
     log_ratio, cap, implied = _chain(tag, z, zeta, b, delta)
     if not log_ratio <= cap + CERT_TOL:
@@ -339,21 +340,28 @@ def certificate_to_dict(cert: Certificate, consts: HalvingConstants) -> dict:
 
 
 def certificate_from_dict(obj: dict) -> tuple[Certificate, float]:
-    """Parse a serialized certificate; returns (certificate, c)."""
+    """Parse a serialized certificate; returns (certificate, c).  Each
+    malformed input raises a ValueError that names its field."""
+    if not isinstance(obj, dict):
+        raise ValueError("certificate must be a JSON object")
+
+    def _field(key: str):
+        if key not in obj:
+            raise ValueError(f"missing field {key!r}")
+        return obj[key]
+
+    def _num(key: str) -> float:
+        if not _is_number(_field(key)):
+            raise ValueError(f"field {key!r} must be a number")
+        return float(obj[key])
 
     def _point(key: str) -> complex:
-        v = obj[key]
-        if not (isinstance(v, list) and len(v) == 2):
+        v = _field(key)
+        if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
             raise ValueError(f"field {key!r} must be [x, y]")
         return complex(float(v[0]), float(v[1]))
 
-    cert = Certificate(
-        CaseTag(obj["case"]),
-        _point("z"),
-        _point("zeta"),
-        _point("b"),
-        float(obj["log_ratio"]),
-        float(obj["case_log_cap"]),
-        float(obj["implied_lower"]),
-    )
-    return cert, float(obj["c"])
+    tag = CaseTag(_field("case"))
+    z, zeta, b = map(_point, ("z", "zeta", "b"))
+    log_ratio, cap, implied = map(_num, ("log_ratio", "case_log_cap", "implied_lower"))
+    return Certificate(tag, z, zeta, b, log_ratio, cap, implied), _num("c")

@@ -174,11 +174,10 @@ def rotate_domain(spec: DomainSpec, theta: float) -> DomainSpec:
     return DomainSpec.bare(user, include_origin=0j in spec.point_index.point_set)
 
 
-def path_point(path, t: float) -> complex:
-    """The point of an arc+radial path at t in [0, 1]: a path of two pieces
-    spends the first half of [0, 1] on its arc."""
+def path_point(ps, t: float) -> complex:
+    """The point at t in [0, 1] of the walk of pieces ps (as _walk returns
+    them): a walk of two pieces spends the first half of [0, 1] on its arc."""
     t = min(max(t, 0.0), 1.0)
-    ps = path.pieces
     if len(ps) == 1:
         return ps[0].point(t)
     if t <= 0.5:

@@ -156,12 +156,9 @@ class TestComputeL:
         r = compute_L(spec, nb)
         assert (r.L, r.witness_a) == (L, 0j)
 
-    def test_reuses_nb_of_its_point_only(self, std_domain):
+    def test_bp_bounds_is_compute_L_of_its_own_pass(self, std_domain):
         z = 0.3 + 0.2j
-        nb = nearest_boundary(std_domain, z)
-        assert compute_L(std_domain, nb) == bp_bounds(std_domain, z, nb=nb) == bp_bounds(std_domain, z)
-        with pytest.raises(ValueError, match="nearest-boundary result for"):
-            bp_bounds(std_domain, z + 1e-12, nb=nb)
+        assert bp_bounds(std_domain, z) == compute_L(std_domain, nearest_boundary(std_domain, z))
 
 
 def assert_matches_reference(spec: DomainSpec, nb: NearestBoundary):

@@ -229,6 +229,16 @@ class TestPointRow:
                 seen += 1
         assert seen >= 10
 
+    @pytest.mark.parametrize("z", [0.35 + 0.1j, 0.95 + 0j, 0.0031 + 0.0002j])
+    def test_bounds_from_the_shared_pass(self, monkeypatch, z):
+        # the row hands its nearest-boundary result straight to compute_L
+        spec, consts = bench_domain("demo.json")
+        expected = point_row(spec, consts, z)
+        wrapped = counted_calls(monkeypatch, "bp_bounds", bp)
+        shared = counted_calls(monkeypatch, "compute_L", bp)
+        assert point_row(spec, consts, z) == expected
+        assert wrapped == [] and [nb.z for nb in shared] == [z]
+
     def test_one_point_window_at_a_positive_L(self, monkeypatch):
         # no curve interval holds d here; bench/test_bench.py traces this point
         spec, consts = bench_domain("demo.json")
@@ -475,7 +485,15 @@ EXIT_CASES = {
     # rejected at load, before two million points are built
     "underflowing-sequence": (battery_json(0.5, 0.5, count=2_000_000), ["validate"], None, 2, "error: "),
     "short-segment": (SHORT_SEGMENT_SPEC, ["bounds", "--z=0.35,0.1"], None, 2, "error: "),
-    "short-slit": (None, ["slit-audit", "--deltas", "1e-300", "--out", "{tmp}/x.csv"], None, 2, "error: "),
+    # deltas in (0, 1/4) whose slit or sequence underflows name the delta
+    "short-slit": (
+        None, ["slit-audit", "--deltas", "1e-300", "--out", "{tmp}/x.csv"], None, 2,
+        "error: delta = 1e-300: segment is degenerate: ",
+    ),
+    "short-slit-sequence": (
+        None, ["slit-audit", "--deltas", "1e-310", "--out", "{tmp}/x.csv"], None, 2,
+        "error: delta = 1e-310: count 60 is too large: ",
+    ),
     "bad-delta": (None, ["slit-audit", "--deltas", "0.3", "--out", "{tmp}/x.csv"], None, 2, "error: "),
     "z-nan": (battery_json(0.5, 0.5), ["bounds", "--z=nan,0"], None, 2, "error: "),
     "z-inf": (battery_json(0.5, 0.5), ["certify", "--z=0,-inf"], None, 2, "error: "),

@@ -25,7 +25,6 @@ from hypbound import (
     SinglePoint,
     SpecError,
     UnitCircle,
-    arc_then_radial,
     boundary_gap,
     contains,
     distance_set,
@@ -34,7 +33,7 @@ from hypbound import (
     load_domain,
     nearest_boundary,
 )
-from hypbound.geometry import GEOM_TOL, ArcPiece, _dot, _piece_hits, primitive_clearance
+from hypbound.geometry import GEOM_TOL, ArcPiece, RadialPiece, _dot, _piece_hits, _walk, primitive_clearance
 
 from conftest import (
     MALFORMED_SPECS,
@@ -61,13 +60,13 @@ def points_domain(*pts: complex) -> DomainSpec:
 
 def assert_first_hit_matches_walk(spec: DomainSpec, start: complex, target: complex) -> None:
     """The analytic first hit must agree with a brute-force walk of the path."""
-    path = arc_then_radial(start, target)
-    hit = first_boundary_hit(spec, path)
+    pieces = _walk(start, target)
+    hit = first_boundary_hit(spec, start, target)
     assert boundary_gap(spec, hit) <= 1e-10
     ts = np.linspace(0.0, 1.0, 20_001)
-    gaps = [boundary_gap(spec, path_point(path, t)) for t in ts]
+    gaps = [boundary_gap(spec, path_point(pieces, t)) for t in ts]
     first = next(i for i, g in enumerate(gaps) if g <= 1e-4)
-    assert abs(path_point(path, ts[first]) - hit) <= 5e-3
+    assert abs(path_point(pieces, ts[first]) - hit) <= 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -479,80 +478,73 @@ class TestDistanceSet:
 
 class TestPaths:
     def test_radial_path_shape(self):
-        path = arc_then_radial(0.5 + 0j, 1.0 + 0j)
-        assert path.arc is None
-        assert path_point(path, 0.0) == 0.5 + 0j
-        assert path_point(path, 1.0) == 1.0 + 0j
+        pieces = _walk(0.5 + 0j, 1.0 + 0j)
+        assert [type(p) for p in pieces] == [RadialPiece]
+        assert path_point(pieces, 0.0) == 0.5 + 0j
+        assert path_point(pieces, 1.0) == 1.0 + 0j
 
     def test_arc_then_radial_rejects_origin(self):
         with pytest.raises(MalformedPath):
-            arc_then_radial(0j, 0.5 + 0j)
+            _walk(0j, 0.5 + 0j)
         with pytest.raises(MalformedPath):
-            arc_then_radial(0.5 + 0j, 0j)
+            _walk(0.5 + 0j, 0j)
+        with pytest.raises(MalformedPath):
+            first_boundary_hit(points_domain(0.5 + 0j), 0j, 0.5 + 0j)
 
     def test_arc_then_radial_shape(self):
-        path = arc_then_radial(0.3 + 0j, 0.5j)
-        assert path.arc is not None and path.radial is not None
-        assert abs(path_point(path, 0.0) - 0.3) < 1e-15
-        assert abs(path_point(path, 1.0) - 0.5j) < 1e-15
-        assert abs(path.arc.sweep - math.pi / 2.0) < 1e-15
+        pieces = _walk(0.3 + 0j, 0.5j)
+        assert [type(p) for p in pieces] == [ArcPiece, RadialPiece]
+        assert abs(path_point(pieces, 0.0) - 0.3) < 1e-15
+        assert abs(path_point(pieces, 1.0) - 0.5j) < 1e-15
+        assert abs(pieces[0].sweep - math.pi / 2.0) < 1e-15
 
     def test_arc_then_radial_takes_shorter_arc(self):
-        path = arc_then_radial(0.3 + 0j, complex(0.0, -0.4))
-        assert path.arc.sweep < 0.0
-        assert abs(path.arc.sweep + math.pi / 2.0) < 1e-15
+        arc = _walk(0.3 + 0j, complex(0.0, -0.4))[0]
+        assert arc.sweep < 0.0
+        assert abs(arc.sweep + math.pi / 2.0) < 1e-15
 
     def test_arc_then_radial_degenerate(self):
         with pytest.raises(MalformedPath):
-            arc_then_radial(0.3 + 0j, 0.3 + 0j)
+            _walk(0.3 + 0j, 0.3 + 0j)
 
     def test_pure_arc_and_pure_radial_pieces(self):
-        arc_only = arc_then_radial(0.3 + 0j, 0.3j)
-        assert arc_only.radial is None
-        radial_only = arc_then_radial(0.3 + 0j, 0.6 + 0j)
-        assert radial_only.arc is None
+        assert [type(p) for p in _walk(0.3 + 0j, 0.3j)] == [ArcPiece]
+        assert [type(p) for p in _walk(0.3 + 0j, 0.6 + 0j)] == [RadialPiece]
 
 
 class TestFirstBoundaryHit:
     def test_start_on_boundary(self):
         spec = points_domain(0.5 + 0j)
-        path = arc_then_radial(0.5 + 0j, 1.0 + 0j)
-        assert first_boundary_hit(spec, path) == 0.5 + 0j
+        assert first_boundary_hit(spec, 0.5 + 0j, 1.0 + 0j) == 0.5 + 0j
 
     def test_start_on_boundary_inner(self):
         spec = points_domain(0.5 + 0j, 0.25 + 0j)
-        path = arc_then_radial(0.25 + 0j, 0.5 + 0j)
-        assert first_boundary_hit(spec, path) == 0.25 + 0j
+        assert first_boundary_hit(spec, 0.25 + 0j, 0.5 + 0j) == 0.25 + 0j
 
     def test_arc_hit_before_radial(self):
         spec = points_domain(0.3j, 0.5 + 0j)
-        path = arc_then_radial(0.3 + 0j, 0.5j)
-        hit = first_boundary_hit(spec, path)
+        hit = first_boundary_hit(spec, 0.3 + 0j, 0.5j)
         assert abs(hit - 0.3j) <= 1e-12
 
     def test_radial_hit_through_disk(self):
         spec = DomainSpec.bare([ObstacleDisk(complex(0.5, 0), 0.1)])
-        path = arc_then_radial(0.2 + 0j, 0.9 + 0j)
-        hit = first_boundary_hit(spec, path)
+        hit = first_boundary_hit(spec, 0.2 + 0j, 0.9 + 0j)
         assert abs(hit - 0.4) <= 1e-12
 
     def test_radial_hit_on_collinear_segment(self):
         spec = DomainSpec.bare([Segment(complex(0.4, 0), complex(0.6, 0))])
-        path = arc_then_radial(0.1 + 0j, 0.9 + 0j)
-        hit = first_boundary_hit(spec, path)
+        hit = first_boundary_hit(spec, 0.1 + 0j, 0.9 + 0j)
         assert abs(hit - 0.4) <= 1e-12
 
     def test_circle_hit_when_nothing_else(self):
         spec = DomainSpec.bare(include_origin=True)
-        path = arc_then_radial(0.5j, 1.0j)
-        hit = first_boundary_hit(spec, path)
+        hit = first_boundary_hit(spec, 0.5j, 1.0j)
         assert abs(hit - 1.0j) <= 1e-12
 
     def test_rejects_path_missing_boundary(self):
         spec = DomainSpec.bare()
-        path = arc_then_radial(0.5 + 0j, 0.6 + 0j)
         with pytest.raises(MalformedPath):
-            first_boundary_hit(spec, path)
+            first_boundary_hit(spec, 0.5 + 0j, 0.6 + 0j)
 
     @pytest.mark.parametrize(
         "obstacles,start,target",
@@ -578,7 +570,7 @@ class TestFirstBoundaryHit:
     def test_arc_hits_against_dense_path_sampling(self, name):
         disk, start, target = self.ARC_HITS[name]
         spec = DomainSpec.bare([disk] if disk is not None else [])
-        assert arc_then_radial(start, target).arc is not None
+        assert isinstance(_walk(start, target)[0], ArcPiece)
         assert_first_hit_matches_walk(spec, start, target)
 
     @pytest.mark.parametrize("radius,hits", [(0.2, [0.0]), (0.1, [])])

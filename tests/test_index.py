@@ -10,6 +10,7 @@ here, from the primitives' own methods, and do not touch the index.
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,7 +26,6 @@ from hypbound import (
     Segment,
     SequenceSpec,
     SinglePoint,
-    arc_then_radial,
     boundary_gap,
     contains,
     distance_set,
@@ -33,8 +33,9 @@ from hypbound import (
     log_distance_to_set,
     nearest_boundary,
 )
-from hypbound.geometry import _BLOCK, _FILTER, _TINY, _piece_hits, _ratio_gap, obstacle_gap
-from hypbound.halving import CertificateError, _interior_circle_point
+from hypbound.geometry import _BLOCK, _FILTER, _TINY, _piece_hits, _ratio_gap, _walk, obstacle_gap
+from hypbound import halving
+from hypbound.halving import CaseTag, CertificateError, _interior_circle_point
 
 from conftest import (
     bench_domain,
@@ -77,8 +78,8 @@ def linear_gap(spec, z):
     return min(prim.boundary_distance(z) for prim in spec.primitives)
 
 
-def linear_first_hit(spec, path):
-    for piece in path.pieces:
+def linear_first_hit(spec, pieces):
+    for piece in pieces:
         ts = [t for prim in spec.primitives for t in _piece_hits(piece, prim)]
         if ts:
             return piece.point(min(ts))
@@ -476,9 +477,9 @@ def test_first_boundary_hit(case, data):
     pts = [p for p in spec_points(spec) if p != 0] or [cmath.rect(1.0, data.draw(angles))]
     target = data.draw(st.sampled_from(pts))
     for start in (z, cmath.rect(abs(z), data.draw(angles))):
-        path = outcome(arc_then_radial, start, target)
-        if not isinstance(path, type):
-            assert outcome(first_boundary_hit, spec, path) == outcome(linear_first_hit, spec, path)
+        pieces = outcome(_walk, start, target)
+        want = pieces if isinstance(pieces, type) else outcome(linear_first_hit, spec, pieces)
+        assert outcome(first_boundary_hit, spec, start, target) == want
 
 
 def test_hit_on_a_far_ring_of_a_dense_sequence():
@@ -486,8 +487,7 @@ def test_hit_on_a_far_ring_of_a_dense_sequence():
     spec = DomainSpec.build([], SequenceSpec.explicit(cmath.rect(0.5 * 0.99**n, 0.3 * n) for n in range(400)))
     start = cmath.rect(abs(spec.primitives[200].p), 1.0)
     for target in (spec.primitives[100].p, spec.primitives[300].p, 1j):
-        path = arc_then_radial(start, target)
-        assert first_boundary_hit(spec, path) == linear_first_hit(spec, path)
+        assert first_boundary_hit(spec, start, target) == linear_first_hit(spec, _walk(start, target))
 
 
 @st.composite
@@ -570,7 +570,57 @@ def test_hit_from_a_subnormal_start():
     # the arc of radius 5e-324 underflows the cosine rule against the disk
     spec = DomainSpec.bare([SinglePoint(0.5j), ObstacleDisk(complex(0.175, 0.0), 0.125)])
     for start in (5e-324 + 0j, 5e-324 - 5e-324j):
-        path = arc_then_radial(start, 0.5j)
-        hit = first_boundary_hit(spec, path)
-        assert hit == linear_first_hit(spec, path)
+        hit = first_boundary_hit(spec, start, 0.5j)
+        assert hit == linear_first_hit(spec, _walk(start, 0.5j))
         assert abs(hit - 0.5j) <= 1e-15
+
+
+def deep_inputs(spec, consts, seed, n):
+    """n points of G drawn as the deep_certify benchmark draws them: in turn,
+    a log-uniform modulus from 10x the sequence floor to delta/2 in any
+    direction, and a point hugging a sequence point at a log-uniform
+    relative gap in [1e-3, 1/8]."""
+    rng = random.Random(f"deep_certify:{seed}")
+    r_min = 10.0 * spec.sequence.floor
+    pts = [p for p in spec.sequence.resolved_points if abs(p) >= r_min]
+    lo, hi = math.log(r_min), math.log(consts.delta / 2.0)
+    out = []
+    while len(out) < n:
+        if len(out) % 2 == 0:
+            z = cmath.rect(math.exp(rng.uniform(lo, hi)), rng.uniform(0.0, math.tau))
+        else:
+            a = rng.choice(pts)
+            z = a + cmath.rect(abs(a) * math.exp(rng.uniform(math.log(1e-3), math.log(0.125))), rng.uniform(0.0, math.tau))
+        if linear_contains(spec, z) is Membership.IN_G:
+            out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("name", ["spiral.json", "dense.json"])
+def test_certificate_walks(monkeypatch, name):
+    # DeepSmallGap walks from a point of G on a dyadic ring, DeepComparable
+    # from z; the partner b is the first hit, the float a scan over every
+    # primitive finds along the same pieces
+    spec, consts = bench_domain(name)
+    walks = []
+
+    def recorded(spec, start, target):
+        hit = first_boundary_hit(spec, start, target)
+        walks.append((start, target, hit))
+        return hit
+
+    monkeypatch.setattr(halving, "first_boundary_hit", recorded)
+    starts = {CaseTag.DEEP_SMALL_GAP: 0, CaseTag.DEEP_COMPARABLE: 0}
+    # ring walks repeat (one ring point per radius), so each distinct walk
+    # is scanned once
+    reference = {}
+    for z in deep_inputs(spec, consts, 1, 300):
+        walks.clear()
+        cert = halving.build_certificate(spec, consts, z)
+        for start, target, hit in walks:
+            if (start, target) not in reference:
+                reference[start, target] = linear_first_hit(spec, _walk(start, target))
+            assert hit == cert.b == reference[start, target]
+            assert (start == z) is (cert.case_tag is CaseTag.DEEP_COMPARABLE)
+            starts[cert.case_tag] += 1
+    assert min(starts.values()) >= 10, starts

@@ -125,6 +125,14 @@ def invocations(fixtures: Path) -> list[list[str]]:
         # ring.json the first of these reaches b on the disk
         *(["certify", spiral, f"--z={z}"] for z in ("-0.0328,-0.0121", "0.0024,-0.0124", "0.0045,0.0001")),
         *(["certify", str(fixtures / "ring.json"), f"--z={z}"] for z in ("0.0115,-0.0289", "0.0392,-0.0484", "0.0012,-0.0155")),
+        # walks with an arc leg: on spiral.json DeepSmallGap from the ring,
+        # with the hit on the arc and then on the radial run, and
+        # DeepComparable from z, the same two ways; on dense.json both cases
+        # with the hit on the arc
+        *(["certify", spiral, f"--z={z}"] for z in (
+            "4.665e-11,3.875e-12", "-0.01035,-0.01825", "5.594e-12,-1.917e-12", "0.0005236,0.0002292",
+        )),
+        *(["certify", dense, f"--z={z}"] for z in ("3.782e-08,-2.713e-10", "1.685e-10,-7.892e-10")),
         # dense.json through the point index: near-ties of the origin with
         # 169, 368 and 1252 sequence points within relative 1e-9 of d
         # (DeepComparable, FarFromE, FarFromE), which the exact witness rule
@@ -155,6 +163,8 @@ def invocations(fixtures: Path) -> list[list[str]]:
         *(["bounds", str(fixtures / "intervals.json"), f"--z={z}"] for z in ("0.4,0", "0.5,-0.3")),
         *([cmd, str(fixtures / "tie.json"), "--z=0.75,0"] for cmd in ("bounds", "certify")),
         ["slit-audit", "--deltas", "0.2,0.1,0.01,0.001", "--out", "out.csv"],
+        # deltas in (0, 1/4) whose slit, then whose sequence, underflows: exit 2
+        *(["slit-audit", "--deltas", delta, "--out", "out.csv"] for delta in ("1e-170", "1e-310")),
         ["validate", demo],
         ["validate", spiral],
         ["validate", str(fixtures / "violating.json")],
