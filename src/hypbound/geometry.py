@@ -17,9 +17,10 @@ consecutive points with each block's bounding box, the set of the points,
 and the few other primitives.  By the triangle inequality ||z| - |p|| <=
 |z - p| <= |z| + |p|, so a point can meet a distance condition only if its
 modulus lies in a window around |z|: `contains` looks the point up,
-`nearest_boundary` and `boundary_gap` scan outward from |z| while ||z| -
-|p|| is at most the best distance so far, and skip every later block whose
-box lies farther from z than that distance, `first_boundary_hit` takes the
+`nearest_boundary`, `boundary_gap` and `obstacle_gap` scan outward from
+|z| while ||z| - |p|| is at most the best distance so far, and skip every
+later block whose box lies farther from z than that distance (`obstacle_gap`
+stops at a floor its caller passes, see there), `first_boundary_hit` takes the
 points within HIT_TOL of an arc's radius or a radial run's range, and
 `distance_set(spec, a, d)` keeps the points whose |a - p| can lie as
 close to d as the best match found: it reads the boxes too, and skips every
@@ -294,6 +295,9 @@ class SequenceSpec:
             raise SpecError("delta must lie in (0, 1)")
         if not (0.0 < ratio < 1.0):
             raise SpecError("ratio must lie in (0, 1)")
+        if not _is_number(count):
+            # ratio ** (count - 1) would overflow converting the count
+            raise SpecError("count is too large: it lies beyond the float range")
         # the points never increase, so the last is 0 exactly when any one is
         if delta * ratio ** (count - 1) == 0.0:
             raise SpecError(f"count {count} is too large: point {count - 1} underflows to 0")
@@ -424,7 +428,9 @@ class PointIndex:
         pad = abs(hi) * _SLACK + _SLACK_TINY
         return bisect_left(self.moduli, lo - pad), bisect_right(self.moduli, hi + pad)
 
-    def scan(self, z: complex, bound: float) -> tuple[float, list[tuple[float, int, complex]]]:
+    def scan(
+        self, z: complex, bound: float, floor: float = -math.inf
+    ) -> tuple[float, list[tuple[float, int, complex]]]:
         """(d, hits): d is the smaller of bound and the distance from z to the
         nearest point, and hits holds (|z - p|, index, p) for every point p
         whose computed distance can come within rounding of d.
@@ -439,6 +445,10 @@ class PointIndex:
         lim from z.  The bound it ends with is d.  The proofs next to _SLACK
         and below show that both tests drop only points beyond the float
         filter of nearest_boundary, so every candidate it keeps is a hit.
+
+        It returns as soon as bound is at or below floor.  That d is then at
+        most floor and at least the d of the full scan, and hits is
+        incomplete; a d above floor is the full scan's (d, hits).
         """
         r = abs(z)
         ms, pts, slots, ups, downs = self.moduli, self.points, self.slots, self.ups, self.downs
@@ -446,6 +456,8 @@ class PointIndex:
             d0 = abs(z - pts[0])
             if d0 < bound:
                 bound = d0
+        if bound <= floor:
+            return bound, []
         lim = bound + (bound + r) * _SLACK + _SLACK_TINY
         mid = bisect_left(ms, r)
         up, down = mid // _BLOCK, (mid - 1) // _BLOCK
@@ -463,6 +475,8 @@ class PointIndex:
                     out.append((dist, slots[j], pts[j]))
                     if dist < bound:
                         bound = dist
+                        if bound <= floor:
+                            return bound, out
                         lim = bound + (bound + r) * _SLACK + _SLACK_TINY
                 else:
                     # the run is spent: go on to the next block that passes
@@ -660,10 +674,23 @@ def boundary_gap(spec: DomainSpec, z: complex) -> float:
     return idx.scan(z, min(prim.boundary_distance(z) for _, prim in idx.others))[0]
 
 
-def obstacle_gap(spec: DomainSpec, z: complex) -> float:
-    """Distance from z to E, the union of the obstacles; inf when there is none."""
+def obstacle_gap(spec: DomainSpec, z: complex, floor: float = -math.inf) -> float:
+    """Distance from z to E, the union of the obstacles; inf when there is none.
+
+    A distance at most floor may come back as any value between it and
+    floor: the points are scanned first, with that floor, and the segments
+    and disks are read only while the nearest point lies above it.  A
+    distance above floor comes back exactly, as the min of the same floats
+    the scan without a floor takes, and min does not depend on their order.
+    """
     idx = spec.point_index
-    return idx.scan(z, min((prim.set_distance(z) for prim in idx.shapes), default=math.inf))[0]
+    d = idx.scan(z, math.inf, floor)[0]
+    if d > floor:
+        for prim in idx.shapes:
+            gap = prim.set_distance(z)
+            if gap < d:
+                d = gap
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -946,8 +973,14 @@ def _object(entry, where: str, fields: tuple[str, ...]) -> None:
         raise SpecError(f"{where}: unexpected fields {sorted(extra)}")
 
 
+# the least int that float() rounds up to 2^1024, and so overflows: the
+# midpoint between the largest float and 2^1024 rounds to even, upward
+_INT_OVERFLOW = 2**1024 - 2**970
+
+
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """True for a float, or an int that is no bool and that float() converts."""
+    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool) and abs(v) < _INT_OVERFLOW)
 
 
 def _num(entry: dict, key: str, where: str) -> float:
@@ -1033,6 +1066,8 @@ def load_domain(path: str) -> DomainSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, UnicodeDecodeError, and the ValueError of an
+        # integer literal beyond the digit limit of int(), are ValueErrors
         raise SpecError(f"{path}: invalid JSON: {e}") from e
     return domain_from_dict(obj)

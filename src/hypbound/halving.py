@@ -225,7 +225,13 @@ def _interior_circle_point(spec: DomainSpec, radius: float) -> complex:
     best_w = 0j
     for j in range(64):
         w = cmath.rect(radius, (2.0 * math.pi) * j / 64.0)
-        gap = obstacle_gap(spec, w)
+        # With best_gap as its floor, obstacle_gap stops once a direction's
+        # clearance is at or below best_gap.  Such a direction cannot win the
+        # strict > below: it returns a value at most best_gap, and its exact
+        # clearance is no larger.  A direction above the floor ran the full
+        # scan, so its gap is the float obstacle_gap returns without a floor.
+        # So the winner and best_gap are those of 64 full scans.
+        gap = obstacle_gap(spec, w, best_gap)
         if gap > best_gap:
             best_gap, best_w = gap, w
     # the ring lies inside D, so best_w is in G exactly when it clears every obstacle

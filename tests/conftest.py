@@ -58,6 +58,10 @@ MALFORMED_SPECS = [
     {"primitives": [{"type": "point", "x": 0.0, "y": 0.0}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
     {"primitives": [{"type": "point", "x": 0.3, "y": 0.0, "extra": 1}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
     {"primitives": [{"type": "disk", "cx": 0.0, "cy": 0.0, "r": 2.0}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
+    # integers beyond the float range, which float() cannot convert
+    {"primitives": [{"type": "point", "x": 10**400, "y": 0.0}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
+    {"primitives": [], "sequence": {"type": "explicit", "points": [[0.5, 0.0], [0.0, -(10**400)]]}},
+    {"primitives": [], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 10**400}},
 ]
 
 

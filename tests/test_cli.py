@@ -495,6 +495,15 @@ EXIT_CASES = {
         "error: delta = 1e-310: count 60 is too large: ",
     ),
     "bad-delta": (None, ["slit-audit", "--deltas", "0.3", "--out", "{tmp}/x.csv"], None, 2, "error: "),
+    # an integer beyond the float range, and one past the digit limit of int()
+    "huge-integer": (
+        {"primitives": [{"type": "point", "x": 10**400, "y": 0.0}], "sequence": battery_json(0.5, 0.5)["sequence"]},
+        ["validate"], None, 2, "error: primitives[0]: field 'x' must be a number",
+    ),
+    "long-integer": (
+        b'{"primitives": [], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": ' + b"1" * 5000 + b"}}",
+        ["validate"], None, 2, "error: ",
+    ),
     "z-nan": (battery_json(0.5, 0.5), ["bounds", "--z=nan,0"], None, 2, "error: "),
     "z-inf": (battery_json(0.5, 0.5), ["certify", "--z=0,-inf"], None, 2, "error: "),
 }
@@ -563,37 +572,45 @@ FUZZ_COORDS = (
     0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-160, -1e-160,
     1.0 - 2.0**-53, -(1.0 - 2.0**-53), 0.5, -0.3, 0.25, 0.1, 0.35,
 )
+# integers beyond the float range: float() cannot convert them
+FUZZ_HUGE = (10**400, -(10**400))
 FUZZ_RADII = (5e-324, 1e-310, 1e-160, 1e-16, 0.05, 0.3)
 FUZZ_DELTAS = (0.5, 0.25, 1e-160, 5e-324, 1.0 - 2.0**-53)
 FUZZ_RATIOS = (0.5, 0.99, 1e-160, 1.0 - 2.0**-53)
-FUZZ_COUNTS = (1, 2, 60, 1075)
+FUZZ_COUNTS = (1, 2, 60, 1075, 10**400)
 
 
 def fuzz_case(pick) -> tuple[dict, list[str]]:
     """A spec object and a hypbound argv, with {spec} and {out} standing for
     their paths; pick returns one element of the sequence it is given."""
+    # a huge integer may stand for any primitive coordinate, the first
+    # sequence point's or one of --z; the later sequence points keep to the
+    # floats, so that most explicit sequences still load
+    coords = FUZZ_COORDS + FUZZ_HUGE
     prims = []
     for _ in range(pick(range(4))):
         kind = pick(("point", "segment", "disk"))
         if kind == "point":
-            prims.append({"type": kind, "x": pick(FUZZ_COORDS), "y": pick(FUZZ_COORDS)})
+            prims.append({"type": kind, "x": pick(coords), "y": pick(coords)})
         elif kind == "segment":
-            prims.append({"type": kind, **{key: pick(FUZZ_COORDS) for key in ("x1", "y1", "x2", "y2")}})
+            prims.append({"type": kind, **{key: pick(coords) for key in ("x1", "y1", "x2", "y2")}})
         else:
-            prims.append({"type": kind, "cx": pick(FUZZ_COORDS), "cy": pick(FUZZ_COORDS), "r": pick(FUZZ_RADII)})
+            prims.append({"type": kind, "cx": pick(coords), "cy": pick(coords), "r": pick(FUZZ_RADII)})
     if pick(("geometric", "explicit")) == "geometric":
         seq = {"type": "geometric", "delta": pick(FUZZ_DELTAS), "ratio": pick(FUZZ_RATIOS), "count": pick(FUZZ_COUNTS)}
     else:
         # halved at each step, so that some draws satisfy the halving hypothesis
         n = pick(range(1, 31))
-        seq = {"type": "explicit", "points": [[pick(FUZZ_COORDS) * 0.5**k, pick(FUZZ_COORDS) * 0.5**k] for k in range(n)]}
+        points = [[pick(coords), pick(coords)]]
+        points += [[pick(FUZZ_COORDS) * 0.5**k, pick(FUZZ_COORDS) * 0.5**k] for k in range(1, n)]
+        seq = {"type": "explicit", "points": points}
     cmd = pick(("validate", "bounds", "certify", "sweep"))
     if cmd == "validate":
         argv = [cmd, "{spec}"]
     elif cmd == "sweep":
         argv = [cmd, "{spec}", "--n", "3", "--seed", str(pick(range(5))), "--out", "{out}"]
     else:
-        argv = [cmd, "{spec}", f"--z={pick(FUZZ_COORDS)!r},{pick(FUZZ_COORDS)!r}"]
+        argv = [cmd, "{spec}", f"--z={pick(coords)!r},{pick(coords)!r}"]
     return {"primitives": prims, "sequence": seq}, argv
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from hypbound import (
     load_domain,
     nearest_boundary,
 )
-from hypbound.geometry import GEOM_TOL, ArcPiece, RadialPiece, _dot, _piece_hits, _walk, primitive_clearance
+from hypbound.geometry import GEOM_TOL, ArcPiece, RadialPiece, _dot, _is_number, _piece_hits, _walk, primitive_clearance
 
 from conftest import (
     MALFORMED_SPECS,
@@ -214,6 +215,9 @@ class TestSequenceSpec:
         # 0.5 * 0.5**1074 = 2^-1075 rounds to 0; 2^-1074 is the smallest subnormal
         with pytest.raises(SpecError, match="underflows"):
             SequenceSpec.geometric(0.5, 0.5, 1075)
+        # ratio ** (count - 1) cannot convert a count beyond the float range
+        with pytest.raises(SpecError, match="count is too large"):
+            SequenceSpec.geometric(0.5, 0.5, 10**400)
         assert SequenceSpec.geometric(0.5, 0.5, 1074).floor == 5e-324
 
     def test_explicit_validation(self):
@@ -729,6 +733,10 @@ class TestSerialization:
          "primitives[0]: the origin obstacle is implicit and must not be listed"),
         ([], {"type": "geometric", "ratio": 0.5, "count": 4}, "sequence: missing field 'delta'"),
         ([], {"type": "explicit", "points": [[0.5]]}, "sequence: points[0] must be [x, y]"),
+        # integers beyond the float range
+        ([{"type": "point", "x": 0.1, "y": -(10**400)}], GEOMETRIC, "primitives[0]: field 'y' must be a number"),
+        ([], {"type": "explicit", "points": [[0.5, 0.0], [10**400, 0.0]]}, "sequence: points[1] must be [x, y]"),
+        ([], {**GEOMETRIC, "count": 10**400}, "sequence: count is too large: it lies beyond the float range"),
     ])
     def test_error_names_its_location_once(self, primitives, sequence, message):
         with pytest.raises(SpecError) as exc:
@@ -744,3 +752,23 @@ class TestSerialization:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(SpecError):
             load_domain(str(path))
+
+    def test_load_domain_integer_past_the_digit_limit(self, tmp_path):
+        # json.load raises a plain ValueError for an integer literal longer
+        # than int()'s digit limit (4300 digits by default)
+        path = tmp_path / "long.json"
+        path.write_text('{"primitives": [], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": '
+                        + "1" * 5000 + "}}", encoding="utf-8")
+        with pytest.raises(SpecError, match="invalid JSON"):
+            load_domain(str(path))
+
+    def test_numbers_end_at_the_float_range(self):
+        # float() rounds 2^1024 - 2^970 up to 2^1024 and overflows; one less
+        # rounds down to the largest float
+        top = 2**1024 - 2**970
+        assert float(top - 1) == sys.float_info.max
+        with pytest.raises(OverflowError):
+            float(top)
+        assert [_is_number(v) for v in (top - 1, -(top - 1), top, -top, 10**400, 1e308, True)] == [
+            True, True, False, False, False, True, False,
+        ]

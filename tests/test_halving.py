@@ -472,6 +472,9 @@ class TestSerialization:
             ("zeta", [0.0, None], r"field 'zeta' must be \[x, y\]"),
             ("b", [True, 0.0], r"field 'b' must be \[x, y\]"),
             ("z", {"x": 0.0, "y": 0.3}, r"field 'z' must be \[x, y\]"),
+            # integers beyond the float range, which float() cannot convert
+            ("c", 10**400, "field 'c' must be a number"),
+            ("zeta", [0.0, -(10**400)], r"field 'zeta' must be \[x, y\]"),
         ]:
             bad = dict(good)
             if message.startswith("missing"):

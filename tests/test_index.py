@@ -357,6 +357,37 @@ def test_obstacle_gap(case):
     assert obstacle_gap(spec, z) == min((prim.set_distance(z) for prim in spec.obstacles), default=math.inf)
 
 
+@given(spec_and_point(), st.sampled_from(["exact", "below", "above", "scaled", "none"]), st.floats(0.0, 2.0))
+@INDEXED
+def test_obstacle_gap_with_a_floor(case, where, factor):
+    # the floor at the exact gap, one ulp on either side, a multiple of the
+    # gap, or -inf: a gap above the floor comes back exactly, any other at
+    # most the floor and no less than the gap.  The point scan likewise
+    # returns its full (d, hits) above the floor, and else stops early with
+    # a prefix of the hits.
+    spec, z = case
+    gap = obstacle_gap(spec, z)
+    floor = {
+        "exact": gap,
+        "below": math.nextafter(gap, -math.inf),
+        "above": math.nextafter(gap, math.inf),
+        "scaled": gap * factor,
+        "none": -math.inf,
+    }[where]
+    assume(not math.isnan(floor))   # inf * 0, with no obstacle at all
+    got = obstacle_gap(spec, z, floor)
+    if gap > floor:
+        assert got == gap
+    else:
+        assert gap <= got <= floor
+    d, hits = spec.point_index.scan(z, math.inf)
+    got_d, got_hits = spec.point_index.scan(z, math.inf, floor)
+    if d > floor:
+        assert (got_d, got_hits) == (d, hits)
+    else:
+        assert d <= got_d <= floor and got_hits == hits[: len(got_hits)]
+
+
 @given(spec_and_point(), st.floats(-12.0, 0.3))
 @INDEXED
 def test_pruned_distance_set(case, log_d):
@@ -546,6 +577,32 @@ def test_interior_circle_point(case):
         with pytest.raises(CertificateError):
             _interior_circle_point(spec, radius)
     else:
+        assert _interior_circle_point(spec, radius) == w
+
+
+def certificate_rings(name):
+    """The dyadic ring radii delta * 2^-m that a DeepSmallGap certificate on
+    a bench spec can start from: m >= 2 with a dyadic witness in annulus m."""
+    spec, consts = bench_domain(name)
+    radii, m = [], 2
+    while True:
+        try:
+            halving.dyadic_witness(spec.sequence, m)
+        except halving.TruncationExceeded:
+            return spec, radii
+        radii.append(consts.delta * 2.0**-m)
+        m += 1
+
+
+@pytest.mark.parametrize("name, step", [("spiral.json", 1), ("demo.json", 1), ("dense.json", 4)])
+def test_ring_points_of_the_bench_specs(name, step):
+    # every ring of spiral.json and demo.json and every fourth of dense.json,
+    # whose reference scan reads 2301 points per direction
+    spec, radii = certificate_rings(name)
+    assert len(radii) >= 30
+    for radius in radii[::step]:
+        gap, w = linear_circle_point(spec, radius)
+        assert gap > 0.0
         assert _interior_circle_point(spec, radius) == w
 
 

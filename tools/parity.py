@@ -102,8 +102,16 @@ FIXTURES = {
         "primitives": [{"type": "blob"}],
         "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4},
     },
+    # a 400-digit integer coordinate, beyond the float range
+    "huge_coordinate.json": {
+        "primitives": [{"type": "point", "x": 10**399, "y": 0.0}],
+        "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4},
+    },
 }
-MALFORMED = ("listed_origin.json", "string_count.json", "no_points.json", "extra_field.json", "blob.json")
+MALFORMED = (
+    "listed_origin.json", "string_count.json", "no_points.json", "extra_field.json", "blob.json",
+    "huge_coordinate.json",
+)
 
 
 def invocations(fixtures: Path) -> list[list[str]]:
@@ -124,6 +132,7 @@ def invocations(fixtures: Path) -> list[list[str]]:
         # DeepSmallGap: the arc-plus-radial walk starts on a dyadic ring; on
         # ring.json the first of these reaches b on the disk
         *(["certify", spiral, f"--z={z}"] for z in ("-0.0328,-0.0121", "0.0024,-0.0124", "0.0045,0.0001")),
+        ["certify", demo, "--z=0.0625,0.002"],
         *(["certify", str(fixtures / "ring.json"), f"--z={z}"] for z in ("0.0115,-0.0289", "0.0392,-0.0484", "0.0012,-0.0155")),
         # walks with an arc leg: on spiral.json DeepSmallGap from the ring,
         # with the hit on the arc and then on the radial run, and
