@@ -62,6 +62,8 @@ MALFORMED_SPECS = [
     {"primitives": [{"type": "point", "x": 10**400, "y": 0.0}], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 4}},
     {"primitives": [], "sequence": {"type": "explicit", "points": [[0.5, 0.0], [0.0, -(10**400)]]}},
     {"primitives": [], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.5, "count": 10**400}},
+    # above the cap on points, with the last point far from underflow
+    {"primitives": [], "sequence": {"type": "geometric", "delta": 0.5, "ratio": 0.99999, "count": 10**6 + 1}},
 ]
 
 

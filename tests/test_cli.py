@@ -482,8 +482,17 @@ EXIT_CASES = {
     "missing-file": (None, ["validate", "{tmp}/nope.json"], None, 2, "error: "),
     "non-utf8": (b"\xff\xfe{}", ["validate"], None, 2, "error: "),
     "deep-nesting": (b"[" * 100_000 + b"]" * 100_000, ["validate"], None, 2, "error: "),
-    # rejected at load, before two million points are built
-    "underflowing-sequence": (battery_json(0.5, 0.5, count=2_000_000), ["validate"], None, 2, "error: "),
+    # rejected at load, before two million points are built; the underflow
+    # is reported before the cap on points
+    "underflowing-sequence": (
+        battery_json(0.5, 0.5, count=2_000_000), ["validate"], None, 2,
+        "error: sequence: count 2000000 is too large: point 1999999 underflows to 0",
+    ),
+    # one point above the cap, none of them underflowing
+    "capped-sequence": (
+        battery_json(0.5, 0.99999, count=1_000_001), ["validate"], None, 2,
+        "error: sequence: count 1000001 is too large: the cap is 1000000 points",
+    ),
     "short-segment": (SHORT_SEGMENT_SPEC, ["bounds", "--z=0.35,0.1"], None, 2, "error: "),
     # deltas in (0, 1/4) whose slit or sequence underflows name the delta
     "short-slit": (
